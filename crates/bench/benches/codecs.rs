@@ -61,6 +61,30 @@ fn bench_smtp_framing(c: &mut Criterion) {
             }
         })
     });
+    // A 1 MiB payload drip-fed in 1460-byte (one TCP segment) reads: the
+    // per-segment framing work must stay flat as the payload grows.
+    let big = MessageBuilder::new()
+        .raw_from("a@x.com")
+        .raw_to("b@y.com")
+        .subject("bench")
+        .body(&".dotted line of body text\nline of body text\n".repeat(24 * 1024))
+        .build();
+    let stuffed = stuff(&big.to_wire());
+    assert!(stuffed.len() >= 1 << 20);
+    c.bench_function("smtp/data-framing-drip-1mib", |b| {
+        b.iter(|| {
+            let mut codec = LineCodec::new();
+            codec.enter_data_mode();
+            let mut framed = None;
+            for segment in stuffed.as_bytes().chunks(1460) {
+                codec.feed(black_box(segment));
+                if let Some(Frame::Data(d)) = codec.next_frame().unwrap() {
+                    framed = Some(d.len());
+                }
+            }
+            black_box(framed.expect("complete payload"))
+        })
+    });
 }
 
 fn bench_mime_round_trip(c: &mut Criterion) {

@@ -293,18 +293,20 @@ where
     par_map(&indices, |_, &i| f(i))
 }
 
+/// Serialises this crate's tests that touch process-global state:
+/// `set_threads`, `set_stream_depth` and the `ets_obs` metrics registry.
+/// Every test module shares it because they all run in one test binary.
+#[cfg(test)]
+static TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
 
-    /// `set_threads` is process-global; tests that touch it must not
-    /// interleave.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn par_map_preserves_order() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = TEST_LOCK.lock().unwrap();
         let items: Vec<u64> = (0..10_000).collect();
         for threads in [1, 2, 7] {
             set_threads(threads);
@@ -317,7 +319,7 @@ mod tests {
 
     #[test]
     fn par_fold_matches_sequential() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = TEST_LOCK.lock().unwrap();
         let items: Vec<u64> = (0..5_000).map(|i| i % 97).collect();
         let run = |threads| {
             set_threads(threads);
@@ -336,7 +338,7 @@ mod tests {
 
     #[test]
     fn par_flat_map_concatenates_in_order() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = TEST_LOCK.lock().unwrap();
         set_threads(4);
         let items: Vec<usize> = (0..1000).collect();
         let out = par_flat_map(&items, |_, &x| vec![x, x]);
@@ -359,7 +361,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = TEST_LOCK.lock().unwrap();
         set_threads(4);
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, |_, &x| x).is_empty());
@@ -376,7 +378,7 @@ mod tests {
 
     #[test]
     fn fanout_emits_parented_worker_spans_when_traced() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = TEST_LOCK.lock().unwrap();
         ets_obs::trace::disable();
         ets_obs::metrics::reset();
         ets_obs::trace::enable(ets_obs::Filter::all());
@@ -414,7 +416,7 @@ mod tests {
 
     #[test]
     fn fanout_counters_are_thread_count_invariant() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = TEST_LOCK.lock().unwrap();
         let items: Vec<u64> = (0..257).collect();
         let snapshot_for = |threads: usize| {
             ets_obs::metrics::reset();
@@ -438,7 +440,7 @@ mod tests {
 
     #[test]
     fn par_map_index_runs_every_index() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = TEST_LOCK.lock().unwrap();
         set_threads(3);
         let out = par_map_index(257, |i| i * i);
         set_threads(0);
