@@ -1,7 +1,9 @@
 //! `ets-scan` benchmarks: the compiled case-folding automaton against
 //! the repeated `to_ascii_lowercase` + `str::contains` scan it replaces,
 //! plus the two collector layers that moved onto it (spam scoring and
-//! sensitive-info scrubbing, each with its retained legacy path).
+//! sensitive-info scrubbing, each with its retained legacy path). The
+//! scrubbers run on 300 short bodies and on one 1 MiB text, so a cost
+//! that grows faster than text size shows as a per-byte gap.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ets_collector::corpus::{self, SpamDataset};
@@ -30,6 +32,21 @@ fn bodies(n: usize) -> Vec<String> {
     let mut emails = corpus::spam_dataset(SpamDataset::Trec, n / 2, 0xBEEF);
     emails.extend(corpus::enron_like(n - n / 2, 0.1, 0xFEED));
     emails.into_iter().map(|e| e.message.body).collect()
+}
+
+/// One text of at least `bytes` bytes: `enron_like` bodies concatenated,
+/// so the per-byte scrub cost can be set against the 300-body case.
+fn enron_text(bytes: usize) -> String {
+    let mut text = String::with_capacity(bytes + 4096);
+    let mut seed = 0xFEED;
+    while text.len() < bytes {
+        for e in corpus::enron_like(1024, 0.1, seed) {
+            text.push_str(&e.message.body);
+            text.push('\n');
+        }
+        seed += 1;
+    }
+    text
 }
 
 fn bench_find_all_vs_contains(c: &mut Criterion) {
@@ -105,6 +122,15 @@ fn bench_scrub(c: &mut Criterion) {
             }
             black_box(findings)
         })
+    });
+    // The same kind of text as one 1 MiB body: a scrubber linear in text
+    // size costs the same per byte here as on the 300 short bodies.
+    let big = enron_text(1 << 20);
+    c.bench_function("scrub_scan/enron-1mib", |b| {
+        b.iter(|| black_box(scrub::scrub(black_box(&big)).findings.len()))
+    });
+    c.bench_function("scrub_legacy/enron-1mib", |b| {
+        b.iter(|| black_box(scrub::scrub_legacy(black_box(&big)).findings.len()))
     });
 }
 

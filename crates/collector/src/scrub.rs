@@ -8,17 +8,26 @@
 //! Matches are replaced by `*_|R|_*<label>*<zeroed>*_|R|_*` markers — the
 //! exact format of the paper's Figure 2 example — and, as an added
 //! precaution, every remaining digit in the text is zeroed.
-
 //!
-//! The keyword-cued recognizers (passwords/usernames, zip cues, broad id
-//! numbers) scan through compiled `ets-scan` automata: one case-folding
-//! pass locates every cue, and the expensive per-candidate validators
-//! only run near real hits — no `to_ascii_lowercase` copy of the text or
-//! of each candidate's context window. The pre-automaton recognizers are
-//! retained behind [`scrub_legacy`] for the equivalence suite and the
-//! scan microbenches.
+//! [`scrub`] costs time linear in the text size, hostile input included:
+//! each recognizer is one left-to-right pass that examines each byte a
+//! bounded number of times, and overlap resolution compares each
+//! candidate once, with the end of the last accepted span. Only sorting
+//! the candidates by start adds a log factor in their count.
+//!
+//! The keyword-cued recognizers (passwords/usernames, broad id numbers)
+//! scan through compiled `ets-scan` automata: one case-folding pass
+//! locates every cue, and the expensive per-candidate validators only
+//! run near real hits — no `to_ascii_lowercase` copy of the text or of
+//! each candidate's context window. VINs and ZIPs are read off the
+//! maximal ASCII-alphanumeric tokens: a VIN is a 17-byte token, a bare
+//! ZIP a 5-digit token, and a ZIP+4 a 5-digit token followed by `-`,
+//! four digits and a non-alphanumeric byte (or the end of the text).
+//! The original recognizers, which test those shapes at every byte
+//! offset, are retained behind [`scrub_legacy`] for the equivalence suite
+//! and the scan microbenches.
 
-use ets_scan::{contains_fold, PatternSet};
+use ets_scan::{contains_fold, PatternSet, TokenStream};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
@@ -179,6 +188,12 @@ impl ScrubResult {
 /// Scrubs a text: finds every identifier, replaces spans with markers,
 /// zeroes remaining digits.
 pub fn scrub(text: &str) -> ScrubResult {
+    assemble(text, candidates(text))
+}
+
+/// Every recognizer's findings, in overlap-resolution priority order:
+/// earlier recognizers win ties at the same start.
+fn candidates(text: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     find_credit_cards(text, &mut findings);
     find_shapes_fused(text, &mut findings);
@@ -187,14 +202,17 @@ pub fn scrub(text: &str) -> ScrubResult {
     find_context_tokens(text, &mut findings);
     find_zips(text, &mut findings);
     find_id_numbers(text, &mut findings);
-    assemble(text, findings)
+    findings
 }
 
-/// The pre-`ets-scan` scrubber: identical recognizer lineup, but the
-/// keyword-cued recognizers lowercase the text (and each candidate's
-/// context window) and rescan per keyword. Retained as the reference for
-/// the equivalence suite and the `scan_scrub` microbench; output is
-/// byte-identical with [`scrub`].
+/// The original scrubber, kept verbatim as a whole-path reference: the same
+/// recognizer lineup, but the keyword-cued recognizers lowercase the text
+/// (and each candidate's context window) and rescan per keyword, the VIN
+/// and ZIP recognizers test every byte offset, and overlap resolution
+/// compares each candidate with every span accepted before it. Retained
+/// for the equivalence suite and the `scan` microbenches; output is
+/// byte-identical with [`scrub`]. ROADMAP item 4 moves this path and its
+/// `_legacy` kernels out of production crates together.
 pub fn scrub_legacy(text: &str) -> ScrubResult {
     let mut findings = Vec::new();
     find_credit_cards(text, &mut findings);
@@ -202,35 +220,49 @@ pub fn scrub_legacy(text: &str) -> ScrubResult {
     find_shape(text, "##-#######", SensitiveKind::Ein, &mut findings);
     find_phones(text, &mut findings);
     find_dates(text, &mut findings);
-    find_vins(text, &mut findings);
+    find_vins_legacy(text, &mut findings);
     find_emails(text, &mut findings);
     find_context_tokens_legacy(text, &mut findings);
     find_zips_legacy(text, &mut findings);
     find_id_numbers_legacy(text, &mut findings);
-    assemble(text, findings)
+    assemble_legacy(text, findings)
 }
 
-/// Overlap resolution and text rebuild, shared by both scrub paths.
-fn assemble(text: &str, findings: Vec<Finding>) -> ScrubResult {
-    // Resolve overlaps: earlier recognizers above have higher priority;
-    // stable-sort by (start, priority as inserted) and drop overlaps.
-    let mut accepted: Vec<Finding> = Vec::new();
-    let mut order: Vec<(usize, Finding)> = findings.into_iter().enumerate().collect();
-    order.sort_by_key(|(i, f)| (f.start, *i));
-    for (_, f) in order {
-        if accepted
-            .iter()
-            .all(|a| f.end <= a.start || f.start >= a.end)
-        {
-            accepted.push(f);
+#[cfg(test)]
+thread_local! {
+    /// Overlap comparisons made by [`assemble`] on this thread, for the
+    /// tests that bound its work.
+    static OVERLAP_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Bytes scanned by [`SecretSpans`] on this thread, likewise.
+    static SECRET_SCANNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Overlap resolution and text rebuild.
+///
+/// Earlier recognizers have higher priority: candidates are visited in
+/// `(start, insertion)` order and one is kept if it overlaps no span
+/// kept before it. Kept spans are disjoint and visited by start, and
+/// every finding is non-empty, so that test reduces to `start >= reach`,
+/// where `reach` is the end of the last kept span: one comparison per
+/// candidate, and the kept list comes out sorted by start.
+fn assemble(text: &str, mut findings: Vec<Finding>) -> ScrubResult {
+    // Stable: equal starts keep their insertion order.
+    findings.sort_by_key(|f| f.start);
+    let mut reach = 0usize;
+    findings.retain(|f| {
+        #[cfg(test)]
+        OVERLAP_CHECKS.with(|n| n.set(n.get() + 1));
+        let keep = f.start >= reach;
+        if keep {
+            reach = f.end;
         }
-    }
-    accepted.sort_by_key(|f| f.start);
+        keep
+    });
 
     // Rebuild the text, appending in place (no per-segment strings).
     let mut out = String::with_capacity(text.len());
     let mut cursor = 0usize;
-    for f in &accepted {
+    for f in &findings {
         push_zero_digits(&mut out, &text[cursor..f.start]);
         let label = match (f.kind, f.brand) {
             (SensitiveKind::CreditCard, Some(b)) => b.marker(),
@@ -244,6 +276,44 @@ fn assemble(text: &str, findings: Vec<Finding>) -> ScrubResult {
         cursor = f.end;
     }
     push_zero_digits(&mut out, &text[cursor..]);
+    ScrubResult {
+        text: out,
+        findings,
+    }
+}
+
+/// The original overlap resolution: each candidate is compared with every
+/// span accepted before it, and text is zeroed one char at a time.
+fn assemble_legacy(text: &str, findings: Vec<Finding>) -> ScrubResult {
+    let mut accepted: Vec<Finding> = Vec::new();
+    let mut order: Vec<(usize, Finding)> = findings.into_iter().enumerate().collect();
+    order.sort_by_key(|(i, f)| (f.start, *i));
+    for (_, f) in order {
+        if accepted
+            .iter()
+            .all(|a| f.end <= a.start || f.start >= a.end)
+        {
+            accepted.push(f);
+        }
+    }
+    accepted.sort_by_key(|f| f.start);
+
+    let mut out = String::with_capacity(text.len());
+    let mut cursor = 0usize;
+    for f in &accepted {
+        push_zero_digits_legacy(&mut out, &text[cursor..f.start]);
+        let label = match (f.kind, f.brand) {
+            (SensitiveKind::CreditCard, Some(b)) => b.marker(),
+            (k, _) => marker_label(k),
+        };
+        out.push_str("*_|R|_*");
+        out.push_str(label);
+        out.push('*');
+        push_zero_and_mask_legacy(&mut out, &text[f.start..f.end]);
+        out.push_str("*_|R|_*");
+        cursor = f.end;
+    }
+    push_zero_digits_legacy(&mut out, &text[cursor..]);
     ScrubResult {
         text: out,
         findings: accepted,
@@ -266,15 +336,47 @@ fn marker_label(k: SensitiveKind) -> &'static str {
     }
 }
 
+/// Appends `s` with every ASCII digit replaced by `0`.
 fn push_zero_digits(out: &mut String, s: &str) {
-    for c in s.chars() {
-        out.push(if c.is_ascii_digit() { '0' } else { c });
-    }
+    push_replacing(out, s, |b| b.is_ascii_digit().then_some('0'));
 }
 
 /// Zeroes digits and masks letters (used inside markers so even
 /// non-numeric identifiers are unrecoverable).
 fn push_zero_and_mask(out: &mut String, s: &str) {
+    push_replacing(out, s, |b| {
+        if b.is_ascii_digit() {
+            Some('0')
+        } else if b.is_ascii_alphabetic() {
+            Some('x')
+        } else {
+            None
+        }
+    });
+}
+
+/// Appends `s`, replacing each ASCII byte that `sub` maps. The runs
+/// between replaced bytes are copied whole; an ASCII byte is always a
+/// char boundary, so every slice is valid UTF-8.
+fn push_replacing(out: &mut String, s: &str, sub: impl Fn(u8) -> Option<char>) {
+    let mut run = 0usize;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(c) = sub(b) {
+            out.push_str(&s[run..i]);
+            out.push(c);
+            run = i + 1;
+        }
+    }
+    out.push_str(&s[run..]);
+}
+
+fn push_zero_digits_legacy(out: &mut String, s: &str) {
+    for c in s.chars() {
+        out.push(if c.is_ascii_digit() { '0' } else { c });
+    }
+}
+
+fn push_zero_and_mask_legacy(out: &mut String, s: &str) {
     for c in s.chars() {
         out.push(if c.is_ascii_digit() {
             '0'
@@ -505,7 +607,37 @@ fn find_shapes_fused(text: &str, out: &mut Vec<Finding>) {
     }
 }
 
+/// VINs: maximal ASCII-alphanumeric tokens of exactly 17 bytes over the
+/// VIN alphabet (digits and capitals except I, O, Q).
 fn find_vins(text: &str, out: &mut Vec<Finding>) {
+    for tok in TokenStream::alnum(text) {
+        if tok.text.len() == 17 && is_vin(tok.text.as_bytes()) {
+            out.push(Finding {
+                kind: SensitiveKind::Vin,
+                start: tok.start,
+                end: tok.start + 17,
+                brand: None,
+            });
+        }
+    }
+}
+
+fn is_vin(token: &[u8]) -> bool {
+    let mut n_digits = 0usize;
+    for &c in token {
+        if c.is_ascii_digit() {
+            n_digits += 1;
+        } else if !c.is_ascii_uppercase() || matches!(c, b'I' | b'O' | b'Q') {
+            return false;
+        }
+    }
+    // Real VINs mix letters and digits heavily.
+    n_digits >= 5 && token.len() - n_digits >= 4
+}
+
+/// The original VIN recognizer, which tests every byte offset, retained
+/// for the equivalence suite.
+fn find_vins_legacy(text: &str, out: &mut Vec<Finding>) {
     let bytes = text.as_bytes();
     if bytes.len() < 17 {
         return;
@@ -610,41 +742,92 @@ fn id_cue_set() -> &'static PatternSet<()> {
     })
 }
 
-fn zip_cue_set() -> &'static PatternSet<()> {
-    static SET: OnceLock<PatternSet<()>> = OnceLock::new();
-    SET.get_or_init(|| PatternSet::compile(&[("zip", ())]))
-}
-
 /// Context-keyword recognizers for passwords and usernames: one automaton
 /// pass finds every cue; matches replay in (keyword, position) order so
 /// findings are inserted exactly as the legacy per-keyword loop did.
 fn find_context_tokens(text: &str, out: &mut Vec<Finding>) {
-    let set = context_cue_set();
-    let mut cues: Vec<(usize, usize)> = set.find_all(text).map(|m| (m.pattern, m.end)).collect();
-    if cues.is_empty() {
-        return;
-    }
-    cues.sort_unstable();
-    for (pattern, kw_end) in cues {
-        let kind = set.tag(pattern);
-        // The secret is the next non-space token.
-        let rest = &text[kw_end..];
-        let token_start_rel = rest.len() - rest.trim_start().len();
-        let token_start = kw_end + token_start_rel;
-        let token: &str = rest
-            .trim_start()
-            .split(|c: char| c.is_whitespace() || c == ',' || c == ';')
-            .next()
-            .unwrap_or("");
-        let token = token.trim_end_matches(['.', ')', '"', '\'']);
-        if !token.is_empty() && token.len() >= 3 {
-            out.push(Finding {
-                kind,
-                start: token_start,
-                end: token_start + token.len(),
-                brand: None,
-            });
+    // `find_all` yields cues by increasing end, the order in which
+    // `SecretSpans` resolves them in one forward pass; a stable sort by
+    // keyword then gives the (keyword, position) order.
+    let mut secrets = SecretSpans::new(text);
+    let mut found: Vec<(usize, Finding)> = context_cue_set()
+        .find_all(text)
+        .filter_map(|m| {
+            let (start, end) = secrets.after(m.end)?;
+            Some((
+                m.pattern,
+                Finding {
+                    kind: m.tag,
+                    start,
+                    end,
+                    brand: None,
+                },
+            ))
+        })
+        .collect();
+    found.sort_by_key(|&(pattern, _)| pattern);
+    out.extend(found.into_iter().map(|(_, f)| f));
+}
+
+/// Locates the secret after a credential cue: the next token, delimited
+/// by whitespace, `,` or `;`, with trailing `.`, `)`, `"` and `'` trimmed,
+/// kept if at least 3 bytes long.
+///
+/// Chained cues (`pass:pass:pass:…`) share one long token, so scanning
+/// afresh per cue would be quadratic. Each scan instead remembers the
+/// range it proved, and a later cue that lands inside it reuses the
+/// answer; for cue ends given in increasing order no byte is scanned
+/// more than twice.
+struct SecretSpans<'a> {
+    text: &'a str,
+    /// `[from, to)` is whitespace and `to` is not: a token starts at `to`.
+    blank: (usize, usize),
+    /// `[from, to)` holds no delimiter and `to` is one, or the end.
+    word: (usize, usize),
+    /// `(end, kept)`: `text[..end]` with its trailing `.`, `)`, `"` and
+    /// `'` trimmed ends at `kept`.
+    trim: (usize, usize),
+}
+
+impl<'a> SecretSpans<'a> {
+    fn new(text: &'a str) -> Self {
+        // Nothing proved yet: empty ranges, and no token ends at `MAX`.
+        SecretSpans {
+            text,
+            blank: (1, 0),
+            word: (1, 0),
+            trim: (usize::MAX, 0),
         }
+    }
+
+    /// The `(start, end)` of the secret after a cue ending at `kw_end`.
+    fn after(&mut self, kw_end: usize) -> Option<(usize, usize)> {
+        let text = self.text;
+        if !(self.blank.0..=self.blank.1).contains(&kw_end) {
+            let rest = &text[kw_end..];
+            self.blank = (kw_end, text.len() - rest.trim_start().len());
+            #[cfg(test)]
+            SECRET_SCANNED.with(|n| n.set(n.get() + self.blank.1 - kw_end));
+        }
+        let start = self.blank.1;
+        if !(self.word.0..=self.word.1).contains(&start) {
+            let len = text[start..]
+                .find(|c: char| c.is_whitespace() || c == ',' || c == ';')
+                .unwrap_or(text.len() - start);
+            self.word = (start, start + len);
+            #[cfg(test)]
+            SECRET_SCANNED.with(|n| n.set(n.get() + len));
+        }
+        let raw_end = self.word.1;
+        if self.trim.0 != raw_end {
+            let kept = text[..raw_end].trim_end_matches(['.', ')', '"', '\'']);
+            self.trim = (raw_end, kept.len());
+            #[cfg(test)]
+            SECRET_SCANNED.with(|n| n.set(n.get() + raw_end - kept.len()));
+        }
+        // Trimming the token alone stops at `trim.1`, or at its start.
+        let end = self.trim.1.max(start);
+        (end - start >= 3).then_some((start, end))
     }
 }
 
@@ -679,54 +862,69 @@ fn find_context_tokens_legacy(text: &str, out: &mut Vec<Finding>) {
     }
 }
 
+/// ZIP codes, read off the maximal ASCII-alphanumeric tokens. A ZIP+4
+/// (a 5-digit token, `-`, four digits, then a non-alphanumeric byte or
+/// the end of the text) always counts. A bare 5-digit token counts only
+/// with an address cue just before it: a two-capital state code ("PA
+/// 15213") or the word "zip" within the preceding 8 chars.
+///
+/// The legacy recognizer emits every ZIP+4 before any bare ZIP; this one
+/// interleaves them by position. Overlap resolution breaks ties only
+/// between findings with the same start, and at one start the ZIP+4
+/// still comes first, so the output is the same.
 fn find_zips(text: &str, out: &mut Vec<Finding>) {
-    // A bare 5-digit token; to limit false positives require either
-    // ZIP+4 shape or a nearby address-ish cue (comma-space before, or the
-    // words zip / [A-Z]{2} state code immediately before).
     let bytes = text.as_bytes();
-    find_shape(text, "#####-####", SensitiveKind::Zip, out);
-    if bytes.len() < 5 {
-        return;
-    }
-    // One automaton pass decides whether a "zip" cue can fire anywhere;
-    // candidates then fold their prefix window byte-by-byte instead of
-    // allocating a lowercased copy per 5-digit run.
-    let has_zip_cue = zip_cue_set().any_match(text);
-    for start in 0..=bytes.len() - 5 {
-        if !is_boundary(bytes, start) || !is_boundary(bytes, start + 5) {
+    for tok in TokenStream::alnum(text) {
+        let (start, end) = (tok.start, tok.start + tok.text.len());
+        if end - start != 5 || !tok.text.bytes().all(|b| b.is_ascii_digit()) {
             continue;
         }
-        if !bytes[start..start + 5].iter().all(u8::is_ascii_digit) {
-            continue;
-        }
-        // cue: preceding two uppercase letters + space ("PA 15213") or the
-        // word "zip" within the preceding 8 chars.
-        let prefix = text
-            .get(start.saturating_sub(8)..start)
-            .or_else(|| text.get(start.saturating_sub(9)..start))
-            .or_else(|| text.get(start.saturating_sub(10)..start))
-            .unwrap_or("");
-        let state_cue = prefix
-            .trim_end()
-            .chars()
-            .rev()
-            .take(2)
-            .all(|c| c.is_ascii_uppercase())
-            && prefix.trim_end().len() >= 2;
-        let zip_cue = has_zip_cue && contains_fold(prefix, "zip");
-        if state_cue || zip_cue {
+        let plus4 = bytes.get(end) == Some(&b'-')
+            && bytes
+                .get(end + 1..end + 5)
+                .is_some_and(|d| d.iter().all(u8::is_ascii_digit))
+            && !bytes.get(end + 5).is_some_and(u8::is_ascii_alphanumeric);
+        if plus4 {
             out.push(Finding {
                 kind: SensitiveKind::Zip,
                 start,
-                end: start + 5,
+                end: end + 5,
+                brand: None,
+            });
+        }
+        if has_zip_cue(text, start) {
+            out.push(Finding {
+                kind: SensitiveKind::Zip,
+                start,
+                end,
                 brand: None,
             });
         }
     }
 }
 
-/// The pre-`ets-scan` ZIP recognizer (lowercase allocation per candidate
-/// prefix), retained for the equivalence suite.
+/// Whether the window before a 5-digit run at `start` holds a state
+/// code or a "zip" cue. Folding the at most 10-byte window in place
+/// costs less than a whole-text automaton pass.
+fn has_zip_cue(text: &str, start: usize) -> bool {
+    let prefix = text
+        .get(start.saturating_sub(8)..start)
+        .or_else(|| text.get(start.saturating_sub(9)..start))
+        .or_else(|| text.get(start.saturating_sub(10)..start))
+        .unwrap_or("");
+    let state_cue = prefix
+        .trim_end()
+        .chars()
+        .rev()
+        .take(2)
+        .all(|c| c.is_ascii_uppercase())
+        && prefix.trim_end().len() >= 2;
+    state_cue || contains_fold(prefix, "zip")
+}
+
+/// The original ZIP recognizer (tests every byte offset, allocates a
+/// lowercase copy per candidate prefix), retained for the equivalence
+/// suite.
 fn find_zips_legacy(text: &str, out: &mut Vec<Finding>) {
     let bytes = text.as_bytes();
     find_shape(text, "#####-####", SensitiveKind::Zip, out);
@@ -849,6 +1047,7 @@ fn find_id_numbers_legacy(text: &str, out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn luhn_known_values() {
@@ -1013,5 +1212,112 @@ mod tests {
         let r = scrub("");
         assert!(r.findings.is_empty());
         assert_eq!(r.text, "");
+    }
+
+    /// Scrubs `text` as [`scrub`] does and returns the result with the
+    /// candidate count, the overlap comparisons [`assemble`] made and the
+    /// bytes the secret scans examined.
+    fn scrub_counted(text: &str) -> (ScrubResult, usize, usize, usize) {
+        OVERLAP_CHECKS.with(|n| n.set(0));
+        SECRET_SCANNED.with(|n| n.set(0));
+        let found = candidates(text);
+        let n = found.len();
+        let r = assemble(text, found);
+        let checks = OVERLAP_CHECKS.with(|n| n.get());
+        let scanned = SECRET_SCANNED.with(|n| n.get());
+        (r, n, checks, scanned)
+    }
+
+    /// Pieces whose spans overlap across recognizers, and chained
+    /// credential cues that share one long token.
+    const DENSE: [&str; 14] = [
+        "on 01/02",
+        "12/25/2016-12-25",
+        "(412) 555-1234-5678",
+        "078-05-1120",
+        "4111 1111 1111 1111",
+        "PA 15213-1234",
+        "zip 15213-123",
+        "1HGCM82633A004352",
+        "account 123456789",
+        "pass:pass:hunter2",
+        "login:...",
+        "user id: bob)",
+        "a@b.co",
+        "12345ü",
+    ];
+    const SEPS: [&str; 5] = ["", " ", "-", "ü", ", "];
+
+    proptest! {
+        /// Overlap resolution makes at most one comparison per candidate
+        /// and the secret scans examine each byte at most twice, on
+        /// dense texts where the quadratic original compares each
+        /// candidate with hundreds of accepted spans; the output still
+        /// equals the legacy path's.
+        #[test]
+        fn scrub_work_is_linear_on_dense_text(
+            picks in proptest::collection::vec(0..DENSE.len() * SEPS.len(), 1..64),
+            target in 1024usize..16 * 1024,
+        ) {
+            let mut text = String::with_capacity(target + 32);
+            for p in picks.iter().cycle() {
+                if text.len() >= target {
+                    break;
+                }
+                text.push_str(DENSE[p / SEPS.len()]);
+                text.push_str(SEPS[p % SEPS.len()]);
+            }
+            let (r, candidates, checks, scanned) = scrub_counted(&text);
+            prop_assert!(checks <= candidates, "{} checks for {} candidates", checks, candidates);
+            prop_assert!(scanned <= 2 * text.len(), "{} bytes scanned of {}", scanned, text.len());
+            prop_assert_eq!(r, scrub_legacy(&text));
+        }
+    }
+
+    /// Builds a text of about the given size.
+    type BuildText = fn(usize) -> String;
+
+    /// Hostile texts of about `n` bytes: back-to-back dates (one
+    /// candidate every 9 bytes, which the quadratic original took minutes
+    /// over at 4 MiB), chained credential cues sharing one token, chained
+    /// cues before one long run of trimmed dots, and ZIP+4 codes.
+    const HOSTILE: [(&str, BuildText); 4] = [
+        ("dates", |n| "on 01/02 ".repeat(n / 9)),
+        ("chained cues", |n| "pass:".repeat(n / 5)),
+        ("cues, dots", |n| {
+            "pass:".repeat(n / 10) + &".".repeat(n / 2)
+        }),
+        ("zip+4", |n| "12345-6789 ".repeat(n / 11)),
+    ];
+
+    /// The work stays linear on [`HOSTILE`] texts at a small size, where
+    /// the output also matches the legacy path, and at 4 MiB. The small
+    /// size goes first so a quadratic regression fails fast instead of
+    /// stalling.
+    #[test]
+    fn hostile_texts_cost_linear_work() {
+        for (name, build) in HOSTILE {
+            let legacy_len = if name.contains("cues") {
+                8 << 10
+            } else {
+                64 << 10
+            };
+            for len in [legacy_len, 4 << 20] {
+                let text = build(len);
+                let (r, candidates, checks, scanned) = scrub_counted(&text);
+                assert!(candidates >= len / 11, "{name}: {candidates}");
+                assert!(
+                    checks <= candidates,
+                    "{name} x {len}: {checks} checks for {candidates} candidates"
+                );
+                assert!(
+                    scanned <= 2 * text.len(),
+                    "{name} x {len}: {scanned} bytes scanned"
+                );
+                if len == legacy_len {
+                    assert_eq!(r, scrub_legacy(&text), "{name}");
+                }
+            }
+        }
     }
 }

@@ -213,6 +213,84 @@ proptest! {
     }
 }
 
+/// Pieces of identifier-dense text, in the regex subset the string
+/// strategy samples: VIN-alphabet tokens around the 17-byte VIN length
+/// (and 17-byte ones holding I, O or Q), 5-digit runs against letters,
+/// signs and multibyte chars, ZIP+4 near misses, spans that overlap
+/// across recognizers (dates, phones, SSNs, ZIPs, id numbers, Luhn-valid
+/// and random cards), mixed-case state and zip cues, chained credential
+/// cues and emails.
+const DENSE_PIECES: [&str; 30] = [
+    "[A-HJ-NPR-Z0-9]{16,18}",
+    "[A-HJ-NPR-Z0-9]{8}[IOQ][A-HJ-NPR-Z0-9]{8}",
+    "1HGCM82633A004352",
+    "[a-zA-Z+ü-]{0,1}[0-9]{5}[a-zA-Z+ü-]{0,1}",
+    "[0-9]{5}-[0-9]{4}[a-zA-Z0-9]",
+    "[0-9]{5}-[0-9]{3}",
+    "[0-9]{5}-[0-9]{4}",
+    "[0-9]{1,4}[/.-][0-9]{1,4}[/.-][0-9]{2,4}",
+    "on [0-9]{2}/[0-9]{2}",
+    "\\([0-9]{3}\\) {0,1}[0-9]{3}-[0-9]{4}",
+    "[0-9]{3}[.-][0-9]{3}[.-][0-9]{4}",
+    "\\+[0-9][ .][0-9]{3} {0,1}[0-9]{3} {0,1}[0-9]{4}",
+    "4[0-9]{3}[ -]{0,1}[0-9]{4}[ -]{0,1}[0-9]{4}[ -]{0,1}[0-9]{4}",
+    "4111 1111 1111 1111",
+    "371385129301004",
+    "078-05-1120",
+    "12-3456789",
+    "[aA]ccount [0-9]{5,13}",
+    "Member ID [0-9]{6,12}",
+    "[nN]o[.:] {0,1}[0-9]{6}",
+    "#[0-9]{6,12}",
+    "[A-Za-z]{2} {0,2}[0-9]{5}",
+    "[A-Z]{2} [0-9]{5}-[0-9]{4}",
+    "[zZ][iI][pP]:{0,1} {0,1}[0-9]{5}",
+    "[pP]ass:pass:[a-z.)'\"]{0,8}",
+    "PWD: {0,2}[a-z]{0,5}",
+    "[pP]assword is [a-z]{3,6}",
+    "username:[ ]{0,3}[a-z.]{0,8}",
+    "login: user id: [a-z]{2,6}",
+    "[a-z.]{1,3}@[a-z]{1,3}.[a-z]{2,3}.{0,1}",
+];
+
+/// Identifier-dense texts of `min..=max` bytes: random pieces from
+/// [`DENSE_PIECES`], each followed by a short random separator.
+struct DenseText {
+    min: usize,
+    max: usize,
+}
+
+impl Strategy for DenseText {
+    type Value = String;
+
+    fn sample(&self, rng: &mut proptest::TestRng) -> String {
+        let target = self.min + rng.below((self.max - self.min + 1) as u64) as usize;
+        let mut text = String::with_capacity(target + 64);
+        while text.len() < target {
+            let piece = DENSE_PIECES[rng.below(DENSE_PIECES.len() as u64) as usize];
+            text.push_str(&piece.sample(rng));
+            text.push_str(&"[ ,;\n.ü-]{0,2}".sample(rng));
+        }
+        text
+    }
+}
+
+proptest! {
+    /// On large, identifier-dense texts (1–64 KiB) the linear scrubber
+    /// returns the legacy scrubber's text and findings exactly: the
+    /// token-based VIN and ZIP recognizers, the one-pass credential
+    /// spans, the one-comparison overlap resolution and the run-copying
+    /// zeroing all agree with the per-offset, rescanning, quadratic and
+    /// char-wise originals.
+    #[test]
+    fn scrub_matches_legacy_on_dense_text(text in DenseText { min: 1024, max: 64 * 1024 }) {
+        let new = scrub::scrub(&text);
+        let legacy = scrub::scrub_legacy(&text);
+        prop_assert_eq!(new.text, legacy.text);
+        prop_assert_eq!(new.findings, legacy.findings);
+    }
+}
+
 /// Hand-picked case-folding and overlap edges for the scrub paths:
 /// mixed-case cues, cues split across candidate windows, overlapping
 /// recognizer spans.
@@ -230,6 +308,22 @@ fn scrub_edge_cases_match_legacy() {
         "zipzip 12345 zip 12345",
         "AA 11111 aa 11111",
         "übermember 9999999",
+        // VIN-alphabet tokens of 16, 17 and 18 bytes; I, O and Q are
+        // outside the alphabet.
+        "1HGCM82633A00435 1HGCM82633A004352 1HGCM82633A0043521",
+        "1HGCM82633I004352 1HGCM82633O004352 1HGCM82633Q004352",
+        "x1HGCM82633A004352 1HGCM82633A004352-ü1HGCM82633A004352ü",
+        // 5-digit runs against letters, signs and multibyte chars.
+        "PA ü12345 PA 12345ü PA a12345 PA 12345b PA -12345 PA +12345-",
+        "zip 12345-6789x zip 12345-6789 zip 12345-678 zip 12345-67890",
+        "12345-6789ü 12345-6789-1234 012345-6789 PA 12345-6789",
+        // Spans that overlap across recognizers.
+        "on 01/02/2016-12-25 (412) 555-1234-5678 078-05-1120-12",
+        "ZIP 15213-1234 ACCOUNT 4111 1111 1111 1111 no. 12-3456789",
+        "Zip: 90210 zIP 90210 pa 90210 Pa 90210 MEMBER 1234567890123",
+        // Chained credential cues share one long token.
+        "pass:pass:pass:hunter2 pwd:pwd:.... login:\u{a0}\u{a0}bob;x",
+        "password:password is swordfish)). username:'neo'",
     ];
     for text in cases {
         let new = scrub::scrub(text);
