@@ -14,13 +14,14 @@
 //! ets-bench --update-serve-baseline [--bench FILE] [--baseline FILE] [--commit HEX]
 //! ```
 //!
-//! Baseline entries are keyed by `(threads, fast, streaming, scale)` so
-//! a single file can hold the configurations CI exercises (reports from
-//! before the `--scale` knob carry no scale field and key as their
-//! `fast`/`default` mode). Wall-clock noise policy: a stage only fails
-//! the check when it exceeds the baseline by **both** 10% relative and
-//! 0.35 s absolute — tiny stages jitter far more than 10% between runs,
-//! and large stages hide real regressions behind a pure-absolute bound.
+//! Baseline entries are keyed by `(threads, fast, scale)` so a single
+//! file can hold the configurations CI exercises (reports from before
+//! the `--scale` knob carry no scale field and key as their
+//! `fast`/`default` mode; the `streaming` field older entries carry is
+//! ignored). Wall-clock noise policy: a stage only fails the check when
+//! it exceeds the baseline by **both** 10% relative and 0.35 s absolute
+//! — tiny stages jitter far more than 10% between runs, and large stages
+//! hide real regressions behind a pure-absolute bound.
 //! A missing baseline (or a configuration the baseline has never seen)
 //! warns and exits 0, so new CI matrix cells don't fail before anyone
 //! has ratcheted them.
@@ -31,7 +32,7 @@
 //! real stage.
 //!
 //! `--update-baseline` also **appends** the run to an ever-growing
-//! `history` array (`{commit, threads, fast, streaming, scale, stages}`),
+//! `history` array (`{commit, threads, fast, scale, stages}`),
 //! so the baseline file doubles as the performance trajectory of the
 //! repo; `--report-md` renders that trajectory as a Markdown table and
 //! can splice it into the README between the
@@ -150,16 +151,12 @@ fn read_json(path: &str) -> Result<Value, String> {
     serde_json::from_str(&text).map_err(|e| e.to_string())
 }
 
-/// The `(threads, fast, streaming, scale)` key of a report or baseline
-/// entry.
-fn config_key(v: &Value) -> (u64, bool, bool, String) {
+/// The `(threads, fast, scale)` key of a report or baseline entry.
+fn config_key(v: &Value) -> (u64, bool, String) {
     let fast = v.get("fast").and_then(Value::as_bool).unwrap_or(false);
     (
         v.get("threads").and_then(Value::as_u64).unwrap_or(0),
         fast,
-        // Reports before the streaming pipeline carry no flag; they were
-        // all batch.
-        v.get("streaming").and_then(Value::as_bool).unwrap_or(false),
         // Reports before the --scale knob carry no scale field; their
         // world size was implied by the fast flag.
         v.get("scale")
@@ -214,6 +211,17 @@ fn check(bench: &Value, baseline_path: &str) -> ExitCode {
             return ExitCode::SUCCESS;
         }
     };
+    if regressed(bench, &baseline) == Some(true) {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+/// Ratchets `bench` against the `baseline` entry with the same
+/// [`config_key`], logging each stage: `None` when the baseline has no
+/// such entry, else whether any stage regressed beyond the tolerance.
+fn regressed(bench: &Value, baseline: &Value) -> Option<bool> {
     let key = config_key(bench);
     let entries = baseline
         .get("entries")
@@ -222,10 +230,10 @@ fn check(bench: &Value, baseline_path: &str) -> ExitCode {
         .unwrap_or_default();
     let Some(base) = entries.iter().find(|e| config_key(e) == key) else {
         eprintln!(
-            "[ets-bench] baseline has no entry for threads={} fast={} streaming={} scale={}; run --update-baseline to ratchet this configuration",
-            key.0, key.1, key.2, key.3
+            "[ets-bench] baseline has no entry for threads={} fast={} scale={}; run --update-baseline to ratchet this configuration",
+            key.0, key.1, key.2
         );
-        return ExitCode::SUCCESS;
+        return None;
     };
     let base_stages = stage_seconds(base);
     let mut failed = false;
@@ -261,11 +269,10 @@ fn check(bench: &Value, baseline_path: &str) -> ExitCode {
                 .and_then(Value::as_str)
                 .unwrap_or("unknown")
         );
-        ExitCode::FAILURE
     } else {
         eprintln!("[ets-bench] ratchet holds ({checked} stages checked)");
-        ExitCode::SUCCESS
     }
+    Some(failed)
 }
 
 fn update(bench: &Value, baseline_path: &str, commit: &str) -> ExitCode {
@@ -284,8 +291,7 @@ fn update(bench: &Value, baseline_path: &str, commit: &str) -> ExitCode {
     let entry = json!({
         "threads": key.0,
         "fast": key.1,
-        "streaming": key.2,
-        "scale": key.3,
+        "scale": key.2,
         "total_seconds": total.clone(),
         "stages": stages.clone(),
     });
@@ -296,8 +302,7 @@ fn update(bench: &Value, baseline_path: &str, commit: &str) -> ExitCode {
         "commit": commit,
         "threads": key.0,
         "fast": key.1,
-        "streaming": key.2,
-        "scale": key.3,
+        "scale": key.2,
         "total_seconds": total,
         "stages": stages,
     }));
@@ -310,8 +315,8 @@ fn update(bench: &Value, baseline_path: &str, commit: &str) -> ExitCode {
     match std::fs::write(baseline_path, text) {
         Ok(()) => {
             eprintln!(
-                "[ets-bench] ratcheted {} for threads={} fast={} streaming={} scale={} at {commit}",
-                baseline_path, key.0, key.1, key.2, key.3
+                "[ets-bench] ratcheted {} for threads={} fast={} scale={} at {commit}",
+                baseline_path, key.0, key.1, key.2
             );
             ExitCode::SUCCESS
         }
@@ -595,9 +600,9 @@ fn report_md(baseline_path: &str, readme: Option<&str>) -> ExitCode {
         let build = get("world_build");
         let load = get("snapshot_load");
         if let Some(b) = build {
-            last_build.insert(key.3.clone(), b);
+            last_build.insert(key.2.clone(), b);
         }
-        let speedup = match (load, last_build.get(&key.3)) {
+        let speedup = match (load, last_build.get(&key.2)) {
             (Some(l), Some(b)) if l > 0.0 => format!("{:.1}x", b / l),
             _ => "—".to_owned(),
         };
@@ -606,7 +611,7 @@ fn report_md(baseline_path: &str, readme: Option<&str>) -> ExitCode {
         let total = h.get("total_seconds").and_then(Value::as_f64);
         table.push_str(&format!(
             "| {short} | {} | {} | {} | {} | {speedup} | {} |\n",
-            key.3,
+            key.2,
             key.0,
             fmt(build),
             fmt(load),
@@ -652,5 +657,76 @@ fn report_md(baseline_path: &str, readme: Option<&str>) -> ExitCode {
             eprintln!("[ets-bench] cannot write {readme_path}: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed_baseline() -> Value {
+        serde_json::from_str(include_str!("../../../BENCH_pipeline.json"))
+            .expect("committed BENCH_pipeline.json parses")
+    }
+
+    /// `entry` as a fresh report would carry it: no `streaming` field, and
+    /// the `world_build` timing scaled by `factor`.
+    fn report_from(entry: &Value, factor: f64) -> Value {
+        let mut report = entry.clone();
+        let Value::Object(map) = &mut report else {
+            panic!("baseline entry is not an object");
+        };
+        map.remove("streaming");
+        if let Some(Value::Array(stages)) = map.get_mut("stages") {
+            for stage in stages {
+                let Value::Object(stage) = stage else {
+                    continue;
+                };
+                let secs = stage.get("seconds").and_then(Value::as_f64);
+                if let (Some("world_build"), Some(secs)) =
+                    (stage.get("stage").and_then(Value::as_str), secs)
+                {
+                    stage.insert("seconds".to_owned(), json!(secs * factor));
+                }
+            }
+        }
+        report
+    }
+
+    #[test]
+    fn ratchet_ignores_the_retired_streaming_flag() {
+        let baseline = committed_baseline();
+        let entries = baseline
+            .get("entries")
+            .and_then(Value::as_array)
+            .expect("baseline has entries");
+        let fast = entries
+            .iter()
+            .find(|e| config_key(e) == (1, true, "fast".to_owned()))
+            .expect("committed fast entry at one thread");
+        assert_eq!(fast.get("streaming"), Some(&json!(true)));
+        let report = report_from(fast, 1.0);
+        assert_eq!(report.get("streaming"), None);
+        assert_eq!(config_key(&report), config_key(fast));
+        assert_eq!(regressed(&report, &baseline), Some(false));
+
+        // A 2x slower world_build must fail. The fast and default entries'
+        // world_build (0.05 s, 0.31 s) doubles inside the 0.35 s absolute
+        // slack, so the bite is shown on the committed 100k fresh-build
+        // history row, which also carries `streaming: true`.
+        let built = baseline
+            .get("history")
+            .and_then(Value::as_array)
+            .and_then(|h| {
+                h.iter().find(|row| {
+                    config_key(row).2 == "100k"
+                        && stage_seconds(row).iter().any(|(n, _)| n == "world_build")
+                })
+            })
+            .expect("committed 100k world_build history row");
+        assert_eq!(built.get("streaming"), Some(&json!(true)));
+        let base = json!({ "entries": [built.clone()] });
+        assert_eq!(regressed(&report_from(built, 1.0), &base), Some(false));
+        assert_eq!(regressed(&report_from(built, 2.0), &base), Some(true));
     }
 }

@@ -577,8 +577,8 @@ pub fn reflection_mail(email: &CollectedEmail) -> bool {
 }
 
 /// The pre-`ets-scan` Layer-4 predicate (lowercase-then-`contains` per
-/// phrase), retained verbatim for the equivalence suite and the scan
-/// microbenches.
+/// phrase), retained verbatim as the reference for this module's
+/// equivalence test.
 pub fn reflection_mail_legacy(email: &CollectedEmail) -> bool {
     let m = &email.message;
     if m.headers.contains("List-Unsubscribe") {

@@ -25,7 +25,7 @@
 //! four digits and a non-alphanumeric byte (or the end of the text).
 //! The original recognizers, which test those shapes at every byte
 //! offset, are retained behind [`scrub_legacy`] for the equivalence suite
-//! and the scan microbenches.
+//! (`tests/scan_equivalence.rs`) and the `ets-bench` `scan` bench.
 
 use ets_scan::{contains_fold, PatternSet, TokenStream};
 use serde::{Deserialize, Serialize};
@@ -210,7 +210,8 @@ fn candidates(text: &str) -> Vec<Finding> {
 /// (and each candidate's context window) and rescan per keyword, the VIN
 /// and ZIP recognizers test every byte offset, and overlap resolution
 /// compares each candidate with every span accepted before it. Retained
-/// for the equivalence suite and the `scan` microbenches; output is
+/// for the equivalence suite (`tests/scan_equivalence.rs`) and the
+/// `ets-bench` `scan` bench; output is
 /// byte-identical with [`scrub`]. ROADMAP item 4 moves this path and its
 /// `_legacy` kernels out of production crates together.
 pub fn scrub_legacy(text: &str) -> ScrubResult {
@@ -1008,8 +1009,7 @@ fn find_id_numbers(text: &str, out: &mut Vec<Finding>) {
 }
 
 /// The pre-`ets-scan` id-number recognizer (lowercase the whole text,
-/// nine `contains` probes per digit run), retained for the equivalence
-/// suite and microbenches.
+/// nine `contains` probes per digit run), retained for [`scrub_legacy`].
 fn find_id_numbers_legacy(text: &str, out: &mut Vec<Finding>) {
     let lower = text.to_ascii_lowercase();
     let bytes = text.as_bytes();

@@ -10,9 +10,9 @@
 //! message in a single pass over the raw subject and body — no
 //! `to_ascii_lowercase` copies, no per-pattern `contains` rescans. The
 //! pre-automaton scorer is retained as [`SpamScorer::score_legacy`] for
-//! the equivalence suite and the microbenches; the two paths produce
-//! byte-identical [`SpamScore`]s (same rules, same fire order, bitwise
-//! equal totals).
+//! the equivalence suite and the `ets-bench` `scan` bench; the two paths
+//! produce byte-identical [`SpamScore`]s (same rules, same fire order,
+//! bitwise equal totals).
 
 use ets_mail::Message;
 use ets_scan::PatternSet;
@@ -270,7 +270,7 @@ impl SpamScorer {
     /// The pre-`ets-scan` scorer: lowercases subject and body, then runs
     /// one `contains` scan per pattern. Retained verbatim as the
     /// reference for the equivalence suite (`tests/scan_equivalence.rs`)
-    /// and the `scan_spamscore` microbench.
+    /// and the `ets-bench` `scan` bench.
     pub fn score_legacy(&self, msg: &Message) -> SpamScore {
         let mut rules: Vec<FiredRule> = Vec::new();
         let mut fire = |name: &'static str, score: f64| rules.push(FiredRule { name, score });

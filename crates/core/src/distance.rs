@@ -47,8 +47,8 @@ pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
 }
 
 /// Reference `char`-level implementation of [`damerau_levenshtein`]
-/// (full DP matrix, no early-outs). Kept for the equivalence property
-/// tests and the `legacy` sides of the `ets-bench` microbenchmarks.
+/// (full DP matrix, no early-outs). Kept for the equivalence suite
+/// (`tests/typo_equivalence.rs`) and the `ets-bench` `distances` bench.
 pub fn damerau_levenshtein_legacy(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
@@ -94,8 +94,8 @@ pub fn fat_finger(a: &str, b: &str) -> Option<usize> {
 }
 
 /// Reference `char`-level implementation of [`fat_finger`] (full DP
-/// matrix, per-call adjacency scans). Kept for equivalence tests and the
-/// `legacy` sides of the `ets-bench` microbenchmarks.
+/// matrix, per-call adjacency scans). Kept for the equivalence suite
+/// (`tests/typo_equivalence.rs`) and the `ets-bench` `distances` bench.
 pub fn fat_finger_legacy(a: &str, b: &str) -> Option<usize> {
     let av: Vec<char> = a.chars().collect();
     let bv: Vec<char> = b.chars().collect();
@@ -492,8 +492,9 @@ pub fn visual(target: &str, typo: &str) -> f64 {
 }
 
 /// Reference `char`-level implementation of [`visual`] (full DP matrix,
-/// scan-based confusability). Kept for equivalence tests and the `legacy`
-/// sides of the `ets-bench` microbenchmarks; bit-identical to [`visual`].
+/// scan-based confusability). Kept for the equivalence suite
+/// (`tests/typo_equivalence.rs`) and the `ets-bench` `distances` bench;
+/// bit-identical to [`visual`].
 pub fn visual_legacy(target: &str, typo: &str) -> f64 {
     let a: Vec<char> = target.chars().collect();
     let b: Vec<char> = typo.chars().collect();

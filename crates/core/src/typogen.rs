@@ -332,8 +332,8 @@ pub fn generate_dl1(target: &DomainName) -> Vec<TypoCandidate> {
 
 /// The original string-based DL-1 generator: per-candidate `String`
 /// allocation, `HashSet` first-wins dedup, per-candidate fat-finger DP.
-/// Kept as the reference implementation for the equivalence property
-/// tests and the `legacy` sides of the `ets-bench` microbenchmarks.
+/// Kept as the reference implementation for the equivalence suite
+/// (`tests/typo_equivalence.rs`) and the `ets-bench` `typogen` bench.
 pub fn generate_dl1_legacy(target: &DomainName) -> Vec<TypoCandidate> {
     let sld: Vec<char> = target.sld().chars().collect();
     let n = sld.len();

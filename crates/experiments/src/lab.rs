@@ -24,10 +24,6 @@ pub struct Lab {
     pub seed: u64,
     /// Reduced-scale mode for quick runs.
     pub fast: bool,
-    /// Streaming pipeline (the default) vs the batch
-    /// collect-then-classify oracle; results are byte-identical either
-    /// way, only peak memory and stage names differ.
-    pub streaming: bool,
     /// Output directory for JSON records.
     pub out_dir: String,
     /// Explicit world scale (`--scale`): number of popularity targets.
@@ -59,11 +55,10 @@ pub struct Collection {
 
 impl Lab {
     /// Creates a lab bench.
-    pub fn new(seed: u64, fast: bool, streaming: bool, out_dir: String) -> Lab {
+    pub fn new(seed: u64, fast: bool, out_dir: String) -> Lab {
         Lab {
             seed,
             fast,
-            streaming,
             out_dir,
             scale: None,
             snapshot: None,
@@ -104,10 +99,10 @@ impl Lab {
         }
     }
 
-    /// Records a deterministic workload count for `bench_baseline.json`
-    /// as a `lab.<name>` counter in the obs registry. The baseline report
-    /// pairs the counts with the stage timings so a timing regression can
-    /// be told apart from a workload change.
+    /// Records a deterministic workload count as a `lab.<name>` counter
+    /// in the obs registry. `bench_pipeline.json` pairs the counts with
+    /// the stage timings so a timing regression can be told apart from a
+    /// workload change.
     fn record_count(&self, name: &str, value: u64) {
         ets_obs::metrics::counter_add(&format!("lab.{name}"), value);
     }
@@ -225,54 +220,28 @@ impl Lab {
             };
             let spam_scale = config.spam_scale;
             eprintln!(
-                "[lab] generating {} months of traffic (spam scale 1/{:.0}, {})...",
+                "[lab] generating {} months of traffic (spam scale 1/{:.0})...",
                 7.5,
                 1.0 / spam_scale,
-                if self.streaming { "streaming" } else { "batch" },
             );
-            let (collected, verdicts) = if self.streaming {
-                // Streaming: generate, extract features, and hand off
-                // day by day under back-pressure; only the finish layers
-                // see the whole corpus.
-                let gen = TrafficGenerator::new(&infra, config);
-                let funnel = Funnel::new(&infra);
-                let mut collected: Vec<CollectedEmail> = Vec::new();
-                ets_obs::mem::reset_peak();
-                let state = self.time_stage("stream_collect", || {
-                    let mut sink = |e: GenEmail| collected.push(e.collected);
-                    stream_collect(&gen, &funnel, &mut sink)
-                });
-                self.gauge_stage_peak("stream_collect");
-                eprintln!(
-                    "[lab] finishing the funnel over {} emails...",
-                    collected.len()
-                );
-                ets_obs::mem::reset_peak();
-                let verdicts = self.time_stage("funnel_finish", || state.finish());
-                self.gauge_stage_peak("funnel_finish");
-                (collected, verdicts)
-            } else {
-                let collected: Vec<CollectedEmail> = self.time_stage("traffic_generate", || {
-                    TrafficGenerator::new(&infra, config)
-                        .generate()
-                        .into_iter()
-                        .map(|e| e.collected)
-                        .collect()
-                });
-                // Batch materializes the whole corpus before the funnel
-                // runs: record its payload bytes as the stage peak so
-                // bench_pipeline.json shows the memory contrast.
-                let bytes: u64 = collected.iter().map(|e| e.approx_heap_bytes()).sum();
-                ets_obs::metrics::gauge_set("mem.stage_peak_bytes.traffic_generate", bytes as f64);
-                eprintln!(
-                    "[lab] running the funnel over {} emails...",
-                    collected.len()
-                );
-                let verdicts = self.time_stage("funnel_classify", || {
-                    Funnel::new(&infra).classify_all(&collected)
-                });
-                (collected, verdicts)
-            };
+            // Generate, extract features, and hand off day by day under
+            // back-pressure; only the finish layers see the whole corpus.
+            let gen = TrafficGenerator::new(&infra, config);
+            let funnel = Funnel::new(&infra);
+            let mut collected: Vec<CollectedEmail> = Vec::new();
+            ets_obs::mem::reset_peak();
+            let state = self.time_stage("stream_collect", || {
+                let mut sink = |e: GenEmail| collected.push(e.collected);
+                stream_collect(&gen, &funnel, &mut sink)
+            });
+            self.gauge_stage_peak("stream_collect");
+            eprintln!(
+                "[lab] finishing the funnel over {} emails...",
+                collected.len()
+            );
+            ets_obs::mem::reset_peak();
+            let verdicts = self.time_stage("funnel_finish", || state.finish());
+            self.gauge_stage_peak("funnel_finish");
             self.record_count("traffic_emails", collected.len() as u64);
             self.record_count(
                 "funnel_true_typos",
@@ -300,9 +269,10 @@ impl Lab {
         }
     }
 
-    /// Writes the per-stage wall-clock report (`bench_pipeline.json`).
-    /// Stage *timings* vary with `--threads`; every other result file is
-    /// byte-identical across thread counts.
+    /// Writes the per-stage wall-clock report (`bench_pipeline.json`):
+    /// stage timings, per-stage peak payload bytes, and the deterministic
+    /// `lab.*` workload counts. Stage *timings* vary with `--threads`;
+    /// every other result file is byte-identical across thread counts.
     pub fn write_bench_pipeline(&self) {
         let timings = ets_obs::metrics::stage_timeline();
         if timings.is_empty() {
@@ -323,14 +293,12 @@ impl Lab {
             .into_iter()
             .map(|(name, v)| (name, json!(v)))
             .collect();
-        // Recorder contention check: the sharded thread-local counters
-        // must keep beating a single global mutex under fan-out. The
-        // `bench_` prefix keeps this out of the byte-identity checks,
-        // and `ets-bench --check` reads only the `stages` array.
-        let obs = crate::microbench::obs_counter_contention();
+        let counts: serde_json::Map = ets_obs::metrics::counters_with_prefix("lab")
+            .into_iter()
+            .map(|(name, v)| (name, json!(v)))
+            .collect();
         let value = json!({
             "threads": ets_parallel::threads(),
-            "streaming": self.streaming,
             "channel_depth": ets_parallel::stream_depth(),
             "seed": self.seed,
             "fast": self.fast,
@@ -338,65 +306,8 @@ impl Lab {
             "total_seconds": total,
             "stages": stages,
             "mem": mem,
-            "obs_microbench": obs,
+            "counts": counts,
         });
         self.write_json("bench_pipeline", &value);
-    }
-
-    /// Writes the full performance baseline (`bench_baseline.json`):
-    /// pipeline stage timings, deterministic workload counts, and the
-    /// legacy-vs-optimized kernel microbenchmarks. Timings vary run to
-    /// run; the counts are byte-identical for a given seed/scale.
-    pub fn write_bench_baseline(&self) {
-        let micro = crate::microbench::run();
-        let timings = ets_obs::metrics::stage_timeline();
-        let stages: Vec<serde_json::Value> = timings
-            .iter()
-            .map(|(name, secs)| json!({ "stage": name.as_str(), "seconds": *secs }))
-            .collect();
-        let total: f64 = timings.iter().map(|(_, s)| *s).sum();
-        let counts_json: serde_json::Map = ets_obs::metrics::counters_with_prefix("lab")
-            .into_iter()
-            .map(|(name, v)| (name, json!(v)))
-            .collect();
-        let value = json!({
-            "threads": ets_parallel::threads(),
-            "streaming": self.streaming,
-            "seed": self.seed,
-            "fast": self.fast,
-            "scale": self.scale_label(),
-            "total_seconds": total,
-            "stages": stages,
-            "counts": counts_json,
-            "microbench": micro,
-        });
-        self.write_json("bench_baseline", &value);
-        self.write_bench_scan(&micro);
-    }
-
-    /// Writes the scan-engine report (`bench_scan.json`): the
-    /// legacy-vs-automaton comparisons for the layers that moved onto
-    /// `ets-scan`, plus the scan workload counters. Timings vary run to
-    /// run; the `bench_` prefix keeps it out of the byte-identity checks.
-    fn write_bench_scan(&self, micro: &[crate::microbench::Microbench]) {
-        let scan: Vec<&crate::microbench::Microbench> = micro
-            .iter()
-            .filter(|m| m.name.starts_with("scan_"))
-            .collect();
-        if scan.is_empty() {
-            return;
-        }
-        let counters: serde_json::Map = ets_obs::metrics::counters_with_prefix("funnel.scan")
-            .into_iter()
-            .map(|(name, v)| (name, json!(v)))
-            .collect();
-        let value = json!({
-            "threads": ets_parallel::threads(),
-            "seed": self.seed,
-            "fast": self.fast,
-            "microbench": scan,
-            "counters": counters,
-        });
-        self.write_json("bench_scan", &value);
     }
 }

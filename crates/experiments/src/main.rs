@@ -4,8 +4,7 @@
 //! ```text
 //! repro <experiment> [--seed N] [--out DIR] [--fast] [--scale N]
 //!                    [--snapshot FILE] [--threads N]
-//!                    [--streaming|--batch] [--channel-depth N] [--trace FILE]
-//!                    [--telemetry ADDR]
+//!                    [--channel-depth N] [--trace FILE] [--telemetry ADDR]
 //!
 //! experiments:
 //!   table1      DNS settings of a typo domain
@@ -47,15 +46,11 @@
 //!   and `FILE` is refreshed. Loaded and fresh worlds are byte-identical.
 //! * `--threads N` — worker count for the parallel pipeline stages;
 //!   results are byte-identical for any value (0 = one per core).
-//! * `--streaming` / `--batch` — pipeline mode for the collection run.
-//!   Streaming (the default) generates, classifies, and hands off traffic
-//!   day by day under bounded channels, so peak payload memory is set by
-//!   the channel geometry rather than the study size. `--batch` runs the
-//!   original collect-then-classify oracle. Every `results/*.json`
-//!   (bench reports aside) is byte-identical between the two modes.
-//! * `--channel-depth N` — per-worker bounded-channel depth for
-//!   streaming mode (default 64); results are byte-identical for any
-//!   value, only memory and throughput change.
+//! * `--channel-depth N` — per-worker bounded-channel depth of the
+//!   streaming collection run (default 64), which generates, classifies,
+//!   and hands off traffic day by day, so peak payload memory is set by
+//!   the channel geometry rather than the study size. Results are
+//!   byte-identical for any value; only memory and throughput change.
 //! * `--telemetry ADDR` — serve live introspection over HTTP on `ADDR`
 //!   while the run executes: `/metrics` (Prometheus text), `/snapshot.json`
 //!   and `/healthz`. Telemetry reads the merged metric shards and records
@@ -74,7 +69,6 @@
 #![forbid(unsafe_code)]
 
 mod lab;
-mod microbench;
 mod report;
 mod section4;
 mod section5;
@@ -94,7 +88,6 @@ fn main() -> ExitCode {
     let mut fast = false;
     let mut scale: Option<usize> = None;
     let mut snapshot: Option<String> = None;
-    let mut streaming = true;
     let mut trace_path: Option<String> = None;
     let mut telemetry_addr: Option<String> = None;
     let mut it = args.iter();
@@ -131,11 +124,9 @@ fn main() -> ExitCode {
                 None => return usage("--telemetry needs a bind address"),
             },
             "--fast" => fast = true,
-            "--streaming" => streaming = true,
-            "--batch" => streaming = false,
             "--channel-depth" => match it.next().and_then(|s| s.parse().ok()) {
-                // Bounded-channel depth per worker in streaming mode;
-                // results are byte-identical for any value.
+                // Bounded-channel depth per worker of the streaming
+                // collection; results are byte-identical for any value.
                 Some(n) => ets_parallel::set_stream_depth(n),
                 None => return usage("--channel-depth needs an integer"),
             },
@@ -181,7 +172,7 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let mut ctx = lab::Lab::new(seed, fast, streaming, out_dir);
+    let mut ctx = lab::Lab::new(seed, fast, out_dir);
     ctx.scale = scale;
     ctx.snapshot = snapshot;
     let ctx = ctx;
@@ -223,7 +214,6 @@ fn main() -> ExitCode {
                 f(&ctx);
             }
             ctx.write_bench_pipeline();
-            ctx.write_bench_baseline();
         }
         name => match known.iter().find(|(n, _)| *n == name) {
             Some((_, f)) => {
@@ -265,7 +255,7 @@ fn parse_scale(s: &str) -> Option<usize> {
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: repro <table1|table2|table3|table4|table5|table6|fig3..fig9|volumes|regression|honey|snapshot|all> [--seed N] [--out DIR] [--fast] [--scale N] [--snapshot FILE] [--threads N] [--streaming|--batch] [--channel-depth N] [--trace FILE] [--telemetry ADDR]"
+        "usage: repro <table1|table2|table3|table4|table5|table6|fig3..fig9|volumes|regression|honey|snapshot|all> [--seed N] [--out DIR] [--fast] [--scale N] [--snapshot FILE] [--threads N] [--channel-depth N] [--trace FILE] [--telemetry ADDR]"
     );
     eprintln!("  --seed N      base RNG seed (default 20160604)");
     eprintln!(
@@ -275,8 +265,6 @@ fn usage(err: &str) -> ExitCode {
     eprintln!("  --scale N     world scale in targets (1k, 100k, 1m, or any integer); overrides --fast for the world");
     eprintln!("  --snapshot FILE  load the world from FILE when it matches (seed, scale, format); else build fresh and save there");
     eprintln!("  --threads N   parallel worker count; results are byte-identical for any value (0 = one per core)");
-    eprintln!("  --streaming   bounded-memory streaming collection (the default)");
-    eprintln!("  --batch       collect-then-classify oracle; identical results, O(corpus) memory");
     eprintln!("  --channel-depth N  streaming channel depth per worker (default 64); identical results for any value");
     eprintln!("  --telemetry ADDR  serve live /metrics, /snapshot.json and /healthz on ADDR during the run (never changes results/*.json)");
     eprintln!("  --trace FILE  write Chrome-trace spans to FILE plus a .jsonl event log and .metrics.json snapshot");

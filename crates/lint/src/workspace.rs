@@ -29,11 +29,9 @@ pub const ANALYTICAL_CRATES: &[&str] = &[
     "ets-store",
 ];
 
-/// Files allowed to read the wall clock: the microbenchmark harness plus
-/// everything in `ets-bench`. (`lab.rs` used to be here; its stage timers
-/// now go through `ets-obs`, whose clock access is confined to the
-/// path-exact entry below.)
-pub const TIMING_ALLOWLIST_FILES: &[&str] = &["microbench.rs"];
+/// Crates allowed to read the wall clock anywhere: the benchmark crate.
+/// Elsewhere only the path-exact entries below are exempt; a file name
+/// alone exempts nothing, in any crate.
 pub const TIMING_ALLOWLIST_CRATES: &[&str] = &["ets-bench"];
 /// Workspace-relative paths allowed to read the wall clock. Path-exact on
 /// purpose: `crates/obs/src/clock.rs` is the *only* wall-clock source in
@@ -169,7 +167,6 @@ pub fn file_meta(root: &Path, krate: &Crate, path: &Path) -> FileMeta {
         // Binary entry points may panic on bad usage; library code may not.
         library: krate.has_lib && rel_to_src != "main.rs",
         timing_allowed: TIMING_ALLOWLIST_CRATES.contains(&krate.name.as_str())
-            || TIMING_ALLOWLIST_FILES.contains(&file_name.as_str())
             || TIMING_ALLOWLIST_PATHS.contains(&display_path.as_str()),
         crate_name: krate.name.clone(),
         display_path,

@@ -266,6 +266,28 @@ fn timing_allowlist_is_path_exact_for_obs_clock() {
         diags.iter().any(|d| d.rule == "nondeterministic-source"),
         "{diags:?}"
     );
+
+    // A file name alone exempts nothing: a microbench.rs in an
+    // analytical crate has its wall-clock reads denied like any file's.
+    let root = std::path::Path::new("/ws");
+    let experiments = ets_lint::workspace::Crate {
+        name: "ets-experiments".to_string(),
+        dir: root.join("crates/experiments"),
+        has_lib: false,
+    };
+    let m = ets_lint::workspace::file_meta(
+        root,
+        &experiments,
+        &experiments.dir.join("src/microbench.rs"),
+    );
+    assert!(m.analytical && !m.timing_allowed);
+    let diags = lint_file(&m, &src);
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.rule == "nondeterministic-source" && d.tier == Tier::Deny),
+        "{diags:?}"
+    );
 }
 
 #[test]

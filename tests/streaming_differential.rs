@@ -6,7 +6,8 @@
 //! payload memory. This suite holds each claim against the oracle:
 //!
 //! * full email + verdict equality across a thread {1, 2, 8} × channel
-//!   depth {1, 1024} sweep;
+//!   depth {1, 1024} sweep, at test scale and on the corpus of
+//!   `repro --fast` (whose streamed results the `--fast` goldens pin);
 //! * a proptest that absorbs the corpus in arbitrary epoch groupings and
 //!   demands the verdicts never move;
 //! * a peak-memory assertion: with a discarding sink, the in-flight
@@ -35,47 +36,64 @@ fn restore_defaults() {
     ets_parallel::set_stream_depth(0);
 }
 
-/// The shared oracle: one batch run of the generator and funnel at test
-/// scale. Built once — the corpus and verdicts are deterministic, so
-/// every test compares against the same baseline.
-fn oracle() -> &'static (CollectionInfra, Vec<CollectedEmail>, Vec<FunnelVerdict>) {
-    static ORACLE: OnceLock<(CollectionInfra, Vec<CollectedEmail>, Vec<FunnelVerdict>)> =
-        OnceLock::new();
-    ORACLE.get_or_init(|| {
-        let infra = CollectionInfra::build();
-        let collected: Vec<CollectedEmail> =
-            TrafficGenerator::new(&infra, TrafficConfig::test_scale(77))
-                .generate()
-                .into_iter()
-                .map(|e| e.collected)
-                .collect();
-        let verdicts = Funnel::new(&infra).classify_all(&collected);
-        (infra, collected, verdicts)
-    })
+/// A batch run of the generator and funnel: the infrastructure, every
+/// collected email, and the funnel's verdicts.
+type Oracle = (CollectionInfra, Vec<CollectedEmail>, Vec<FunnelVerdict>);
+
+/// Collects the whole corpus of `config`, then classifies it.
+fn batch_run(config: TrafficConfig) -> Oracle {
+    let infra = CollectionInfra::build();
+    let collected: Vec<CollectedEmail> = TrafficGenerator::new(&infra, config)
+        .generate()
+        .into_iter()
+        .map(|e| e.collected)
+        .collect();
+    let verdicts = Funnel::new(&infra).classify_all(&collected);
+    (infra, collected, verdicts)
+}
+
+/// The shared oracle: one batch run at test scale. Built once — the
+/// corpus and verdicts are deterministic, so every test compares against
+/// the same baseline.
+fn oracle() -> &'static Oracle {
+    static ORACLE: OnceLock<Oracle> = OnceLock::new();
+    ORACLE.get_or_init(|| batch_run(TrafficConfig::test_scale(77)))
+}
+
+/// The collection config of `repro --fast`: its default seed at spam
+/// scale 1/20 000, which is the test scale.
+fn repro_fast() -> TrafficConfig {
+    TrafficConfig::test_scale(2016_0604)
 }
 
 #[test]
 fn stream_equals_batch_across_threads_and_depths() {
     let _g = lock();
-    let (infra, batch_emails, batch_verdicts) = oracle();
-    for threads in [1usize, 2, 8] {
-        for depth in [1usize, 1024] {
-            ets_parallel::set_threads(threads);
-            ets_parallel::set_stream_depth(depth);
-            let gen = TrafficGenerator::new(infra, TrafficConfig::test_scale(77));
-            let funnel = Funnel::new(infra);
-            let mut streamed: Vec<CollectedEmail> = Vec::new();
-            let mut sink = |e: GenEmail| streamed.push(e.collected);
-            let state = stream_collect(&gen, &funnel, &mut sink);
-            let verdicts = state.finish();
-            assert_eq!(
-                &streamed, batch_emails,
-                "emails diverged at threads={threads} depth={depth}"
-            );
-            assert_eq!(
-                &verdicts, batch_verdicts,
-                "verdicts diverged at threads={threads} depth={depth}"
-            );
+    let fast = batch_run(repro_fast());
+    for (config, (infra, batch_emails, batch_verdicts)) in [
+        (TrafficConfig::test_scale(77), oracle()),
+        (repro_fast(), &fast),
+    ] {
+        let seed = config.seed;
+        for threads in [1usize, 2, 8] {
+            for depth in [1usize, 1024] {
+                ets_parallel::set_threads(threads);
+                ets_parallel::set_stream_depth(depth);
+                let gen = TrafficGenerator::new(infra, config.clone());
+                let funnel = Funnel::new(infra);
+                let mut streamed: Vec<CollectedEmail> = Vec::new();
+                let mut sink = |e: GenEmail| streamed.push(e.collected);
+                let state = stream_collect(&gen, &funnel, &mut sink);
+                let verdicts = state.finish();
+                assert_eq!(
+                    &streamed, batch_emails,
+                    "emails diverged at seed={seed} threads={threads} depth={depth}"
+                );
+                assert_eq!(
+                    &verdicts, batch_verdicts,
+                    "verdicts diverged at seed={seed} threads={threads} depth={depth}"
+                );
+            }
         }
     }
     restore_defaults();

@@ -4,8 +4,9 @@
 //! reference implementation it replaced, on arbitrary inputs.
 
 use ets_core::typogen::{self, TypoTable};
-use ets_core::{distance, DomainName, ReverseDl1Index};
+use ets_core::{alexa, distance, DomainName, ReverseDl1Index};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 /// Arbitrary valid SLDs: no hyphen at either edge, length 1–14.
 fn sld() -> impl Strategy<Value = String> {
@@ -20,25 +21,91 @@ fn domain(sld: &str, tld: &str) -> DomainName {
         .expect("strategy yields valid slds")
 }
 
-proptest! {
-    /// The byte-level table engine emits exactly the legacy generator's
-    /// candidate list: same domains, kinds, positions, fat-finger flags,
-    /// and bitwise-identical visual scores, in the same order.
-    #[test]
-    fn table_engine_matches_legacy(s in sld()) {
-        let target = domain(&s, "com");
-        let legacy = typogen::generate_dl1_legacy(&target);
-        let new = typogen::generate_dl1(&target);
-        prop_assert_eq!(legacy.len(), new.len());
-        for (l, n) in legacy.iter().zip(&new) {
-            prop_assert_eq!(&l.domain, &n.domain);
-            prop_assert_eq!(l.kind, n.kind);
-            prop_assert_eq!(l.position, n.position);
-            prop_assert_eq!(l.fat_finger, n.fat_finger);
-            prop_assert_eq!(l.visual.to_bits(), n.visual.to_bits());
-        }
-    }
+/// A fixed workload beside the random SLDs: the synthetic top-150
+/// popularity list (the real study targets, then `site<k>.com` fillers),
+/// checked in full by the table-engine and reverse-index equivalences.
+fn top150() -> Vec<DomainName> {
+    alexa::synthetic_top(150)
+        .iter()
+        .map(|e| e.domain.clone())
+        .collect()
+}
 
+/// The byte-level table engine emits exactly the legacy generator's
+/// candidate list for `target`: same domains, kinds, positions,
+/// fat-finger flags, and bitwise-identical visual scores, in the same
+/// order.
+fn engine_matches_legacy(target: &DomainName) -> Result<(), TestCaseError> {
+    let legacy = typogen::generate_dl1_legacy(target);
+    let new = typogen::generate_dl1(target);
+    prop_assert_eq!(legacy.len(), new.len());
+    for (l, n) in legacy.iter().zip(&new) {
+        prop_assert_eq!(&l.domain, &n.domain);
+        prop_assert_eq!(l.kind, n.kind);
+        prop_assert_eq!(l.position, n.position);
+        prop_assert_eq!(l.fat_finger, n.fat_finger);
+        prop_assert_eq!(l.visual.to_bits(), n.visual.to_bits());
+    }
+    Ok(())
+}
+
+/// The reverse index over `targets` returns exactly the brute-force
+/// scan's target set for `query`.
+fn revindex_matches(
+    index: &ReverseDl1Index,
+    targets: &[DomainName],
+    query: &DomainName,
+) -> Result<(), TestCaseError> {
+    let brute: Vec<usize> = targets
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| {
+            t.tld() == query.tld() && distance::damerau_levenshtein(t.sld(), query.sld()) == 1
+        })
+        .map(|(k, _)| k)
+        .collect();
+    prop_assert_eq!(index.matches(query), brute.clone());
+    prop_assert_eq!(index.is_typo(query), !brute.is_empty());
+    Ok(())
+}
+
+/// The table engine matches the legacy generator on every top-150
+/// target, then on random SLDs.
+#[test]
+fn table_engine_matches_legacy() {
+    for target in top150() {
+        engine_matches_legacy(&target).unwrap();
+    }
+    proptest::run_cases("table_engine_matches_legacy", |rng| {
+        engine_matches_legacy(&domain(&sld().sample(rng), "com"))
+    });
+}
+
+/// The reverse index matches the brute-force scan over the top-150 list
+/// (queried with every DL-1 variant of its first 25 targets, all hits,
+/// and with every target itself, mostly misses), then for arbitrary
+/// queries over arbitrary target lists.
+#[test]
+fn revindex_matches_brute_force() {
+    let top = top150();
+    let index = ReverseDl1Index::build(&top);
+    let variants = top
+        .iter()
+        .take(25)
+        .flat_map(|t| typogen::generate_dl1(t).into_iter().map(|c| c.domain));
+    for query in variants.chain(top.iter().cloned()) {
+        revindex_matches(&index, &top, &query).unwrap();
+    }
+    proptest::run_cases("revindex_matches_brute_force", |rng| {
+        let mut slds = proptest::collection::vec(sld(), 1..8).sample(rng);
+        slds.dedup();
+        let targets: Vec<DomainName> = slds.iter().map(|s| domain(s, "com")).collect();
+        let index = ReverseDl1Index::build(&targets);
+        revindex_matches(&index, &targets, &domain(&sld().sample(rng), "com"))
+    });
+}
+
+proptest! {
     /// `classify_dl1` recovers every generated candidate's full record and
     /// rejects the target itself.
     #[test]
@@ -87,28 +154,6 @@ proptest! {
             distance::visual(&a, &b).to_bits(),
             distance::visual_legacy(&a, &b).to_bits()
         );
-    }
-
-    /// The reverse index returns exactly the brute-force scan's target
-    /// set for arbitrary queries over an arbitrary target list.
-    #[test]
-    fn revindex_matches_brute_force(
-        slds in proptest::collection::vec(sld(), 1..8),
-        q in sld(),
-    ) {
-        let mut slds = slds;
-        slds.dedup();
-        let targets: Vec<DomainName> = slds.iter().map(|s| domain(s, "com")).collect();
-        let index = ReverseDl1Index::build(&targets);
-        let query = domain(&q, "com");
-        let brute: Vec<usize> = targets
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| distance::damerau_levenshtein(t.sld(), query.sld()) == 1)
-            .map(|(k, _)| k)
-            .collect();
-        prop_assert_eq!(index.matches(&query), brute.clone());
-        prop_assert_eq!(index.is_typo(&query), !brute.is_empty());
     }
 }
 
