@@ -3,8 +3,8 @@
 //! possible DL-1 variations of Alexa's top one million").
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ets_core::typogen;
-use ets_core::DomainName;
+use ets_core::typogen::{self, TypoTable};
+use ets_core::{distance, DomainName};
 
 fn bench_single_target(c: &mut Criterion) {
     let mut group = c.benchmark_group("generate_dl1");
@@ -42,7 +42,44 @@ fn bench_legacy_vs_table(c: &mut Criterion) {
         b.iter(|| black_box(typogen::generate_dl1_legacy(black_box(&target))))
     });
     c.bench_function("typo_table_generate/outlook.com", |b| {
-        b.iter(|| black_box(typogen::TypoTable::generate(black_box(&target))))
+        b.iter(|| black_box(TypoTable::generate(black_box(&target))))
+    });
+}
+
+/// FNV-1a over the bit patterns of a run of scores.
+fn bits_digest(scores: impl Iterator<Item = f64>) -> u64 {
+    scores.fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn bench_top_1k(c: &mut Criterion) {
+    // The default-scale world's target list, table by table as
+    // `World::build` scores it. The banded, prefix-reusing scores must
+    // equal the full visual DP's bit for bit before anything is timed.
+    let targets: Vec<DomainName> = ets_core::alexa::synthetic_top(1000)
+        .iter()
+        .map(|e| e.domain.clone())
+        .collect();
+    let tables: Vec<TypoTable> = targets.iter().map(TypoTable::generate).collect();
+    let banded = bits_digest(
+        tables
+            .iter()
+            .flat_map(|t| (0..t.len()).map(move |i| t.visual(i))),
+    );
+    let full = bits_digest(
+        tables
+            .iter()
+            .flat_map(|t| (0..t.len()).map(move |i| distance::visual(t.target().sld(), t.sld(i)))),
+    );
+    assert_eq!(banded, full, "visual column differs from the full DP");
+    drop(tables);
+    c.bench_function("typo_table_generate/top-1k", |b| {
+        b.iter(|| {
+            for t in &targets {
+                black_box(TypoTable::generate(black_box(t)));
+            }
+        })
     });
 }
 
@@ -51,6 +88,7 @@ criterion_group!(
     bench_single_target,
     bench_ff1_subset,
     bench_target_list,
-    bench_legacy_vs_table
+    bench_legacy_vs_table,
+    bench_top_1k
 );
 criterion_main!(benches);

@@ -16,10 +16,14 @@
 //! DL distance runs a three-row DP with common-affix trimming and early
 //! outs, the fat-finger DP reads the `const` [`keyboard::ADJACENCY`]
 //! table, and the visual DP reads `const` per-byte-pair confusability and
-//! glyph-prominence tables. Each fast kernel performs the *same*
-//! floating-point operations in the same order as the original `char`
-//! implementation, so results are bit-identical; the originals survive as
-//! `*_legacy` reference functions for equivalence tests and benchmarks.
+//! glyph-prominence tables. The visual DP runs column by column; for a
+//! DL-1 variant it reuses the target's own columns before the edit and
+//! skips the cells outside the diagonal band that the edit's cost allows.
+//! Every cell a fast kernel evaluates performs the *same* floating-point
+//! operations in the same order as the original `char` implementation,
+//! and no skipped cell can reach the answer, so results are
+//! bit-identical; the originals survive as `*_legacy` reference
+//! functions for equivalence tests and benchmarks.
 
 use crate::keyboard;
 
@@ -484,8 +488,8 @@ pub const GLYPH: [f64; 128] = build_glyph();
 /// ```
 pub fn visual(target: &str, typo: &str) -> f64 {
     if target.is_ascii() && typo.is_ascii() {
-        let mut scratch = VisualScratch::default();
-        visual_bytes(target.as_bytes(), typo.as_bytes(), &mut scratch)
+        let mut d = Vec::new();
+        visual_columns(target.as_bytes(), typo.as_bytes(), &mut d, 0, usize::MAX)
     } else {
         visual_legacy(target, typo)
     }
@@ -501,59 +505,160 @@ pub fn visual_legacy(target: &str, typo: &str) -> f64 {
     visual_cost(&a, &b)
 }
 
-/// Reusable rolling rows for [`visual_bytes`], so the typo engine scores
-/// thousands of candidates without reallocating.
-#[derive(Default)]
-pub(crate) struct VisualScratch {
-    prev2: Vec<f64>,
-    prev: Vec<f64>,
-    cur: Vec<f64>,
+/// Cost of transposing two distinct neighbours in the visual DP.
+pub(crate) const TRANSPOSITION: f64 = 0.3;
+
+/// The cheapest insertion or deletion in the visual DP: the smallest
+/// [`GLYPH`] entry (a unit test pins it).
+const MIN_INDEL: f64 = 0.35;
+
+/// Half-width of the diagonal band of the visual DP that holds every
+/// cell worth at most `u`.
+///
+/// A cell `d` diagonals off the main one lies behind at least `d`
+/// insertions or deletions, each costing at least [`MIN_INDEL`], and
+/// adding a non-negative cost never lowers a float sum, so such a cell
+/// is worth more than `u` once `d > u / MIN_INDEL`. The `+ 1` absorbs
+/// the rounding of the division and of the sums.
+pub(crate) fn visual_band(u: f64) -> usize {
+    (u / MIN_INDEL) as usize + 1
 }
 
-/// Byte-level visual DP over three rolling rows. Performs the exact
-/// floating-point operations of [`visual_cost`] in the same order, so the
-/// result is bit-identical; only the storage differs.
-pub(crate) fn visual_bytes(a: &[u8], b: &[u8], s: &mut VisualScratch) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    let w = m + 1;
-    s.prev2.clear();
-    s.prev2.resize(w, f64::INFINITY);
-    s.prev.clear();
-    s.prev.resize(w, f64::INFINITY);
-    s.cur.clear();
-    s.cur.resize(w, f64::INFINITY);
-    s.prev[0] = 0.0;
-    for j in 1..=m {
-        s.prev[j] = s.prev[j - 1] + GLYPH[b[j - 1] as usize];
-    }
-    let mut col0 = 0.0;
-    for i in 1..=n {
-        col0 += GLYPH[a[i - 1] as usize];
-        s.cur[0] = col0;
-        for j in 1..=m {
-            let del = s.prev[j] + GLYPH[a[i - 1] as usize];
-            let ins = s.cur[j - 1] + GLYPH[b[j - 1] as usize];
-            let sub_cost = if a[i - 1] == b[j - 1] {
-                0.0
-            } else {
-                CONFUSABILITY[a[i - 1] as usize][b[j - 1] as usize]
-            };
-            let sub = s.prev[j - 1] + sub_cost;
-            let mut best = del.min(ins).min(sub);
-            if i > 1
-                && j > 1
-                && a[i - 1] == b[j - 2]
-                && a[i - 2] == b[j - 1]
-                && a[i - 1] != a[i - 2]
-            {
-                best = best.min(s.prev2[j - 2] + 0.3);
-            }
-            s.cur[j] = best;
+/// Visual distance from `target` to a string whose cheapest known
+/// alignment with it costs `u`, such as the one edit that produced a
+/// DL-1 variant: [`visual`] restricted to [`visual_band`]`(u)`. Equal
+/// to [`visual`] bit for bit whenever the answer is at most `u`.
+pub(crate) fn visual_within(target: &[u8], typo: &[u8], u: f64) -> f64 {
+    let mut d = Vec::new();
+    visual_columns(target, typo, &mut d, 0, visual_band(u))
+}
+
+/// Visual scores of the DL-1 variants of one target.
+///
+/// Column `j` of the visual DP depends only on the target and the
+/// variant's first `j` bytes, and every variant keeps the target's bytes
+/// before its edit position. So columns `0..=position` of a variant's DP
+/// are those of the target against itself, computed once here; each
+/// variant evaluates only the later columns, inside the band of its own
+/// edit's cost.
+pub(crate) struct Dl1Visual<'t> {
+    target: &'t [u8],
+    /// The target's DP against itself, column-major.
+    target_dp: Vec<f64>,
+    /// One variant's DP, column-major.
+    scratch: Vec<f64>,
+}
+
+impl<'t> Dl1Visual<'t> {
+    pub(crate) fn new(target: &'t [u8]) -> Self {
+        let mut target_dp = Vec::new();
+        visual_columns(target, target, &mut target_dp, 0, usize::MAX);
+        Dl1Visual {
+            target,
+            target_dp,
+            scratch: Vec::new(),
         }
-        std::mem::swap(&mut s.prev2, &mut s.prev);
-        std::mem::swap(&mut s.prev, &mut s.cur);
     }
-    s.prev[m]
+
+    /// Visual distance from the target to `variant`, which equals it
+    /// before `position` and is one edit of cost `u` away from it.
+    /// Bit-identical to [`visual`].
+    pub(crate) fn score(&mut self, variant: &[u8], position: usize, u: f64) -> f64 {
+        let h = self.target.len() + 1;
+        self.scratch.resize((variant.len() + 1) * h, f64::INFINITY);
+        // The kernel reads the two columns before the first it evaluates.
+        let shared = position.saturating_sub(1) * h..(position + 1) * h;
+        self.scratch[shared.clone()].copy_from_slice(&self.target_dp[shared]);
+        visual_columns(
+            self.target,
+            variant,
+            &mut self.scratch,
+            position + 1,
+            visual_band(u),
+        )
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Visual-DP cells evaluated on this thread, for the test that bounds
+    /// the kernel's work.
+    static VISUAL_CELLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Returns the visual-DP cells evaluated on this thread since the last
+/// call.
+#[cfg(test)]
+pub(crate) fn take_visual_cells() -> usize {
+    VISUAL_CELLS.with(|n| n.replace(0))
+}
+
+/// The visual DP over bytes, column by column: the kernel behind
+/// [`visual`], [`visual_within`] and [`Dl1Visual`].
+///
+/// `d` is the column-major `(b.len() + 1) × (a.len() + 1)` matrix whose
+/// column `j` aligns every prefix of `a` with `b[..j]`. The kernel
+/// evaluates columns `from..=b.len()` and returns the last cell; when
+/// `from > 0`, the caller has filled columns `from - 2` (if any) and
+/// `from - 1`. Only cells at most `band` diagonals off the main one are
+/// evaluated, and the cell just past either end of a column's band is set
+/// to +∞ for its neighbours to read; `b` may be at most `band + 1` bytes
+/// longer than `a`, so that every column keeps a cell. Each evaluated
+/// cell performs the floating-point operations of [`visual_cost`] in the
+/// same order, so every cell the band cannot exclude from the answer's
+/// alignment is bit-identical to the full matrix's.
+fn visual_columns(a: &[u8], b: &[u8], d: &mut Vec<f64>, from: usize, band: usize) -> f64 {
+    let (n, m) = (a.len(), b.len());
+    let h = n + 1;
+    d.resize((m + 1) * h, f64::INFINITY);
+    for j in from..=m {
+        let lo = j.saturating_sub(band);
+        let hi = n.min(j.saturating_add(band));
+        #[cfg(test)]
+        VISUAL_CELLS.with(|c| c.set(c.get() + hi + 1 - lo));
+        let (done, rest) = d.split_at_mut(j * h);
+        let cur = &mut rest[..h];
+        if j == 0 {
+            cur[0] = 0.0;
+            for i in 1..=hi {
+                cur[i] = cur[i - 1] + GLYPH[a[i - 1] as usize];
+            }
+        } else {
+            let bj = b[j - 1];
+            let glyph_bj = GLYPH[bj as usize];
+            let prev = &done[(j - 1) * h..];
+            // `up` is the cell above the one being evaluated, kept in a
+            // register across the column's dependency chain.
+            let (first, mut up) = if lo == 0 {
+                cur[0] = prev[0] + glyph_bj;
+                (1, cur[0])
+            } else {
+                cur[lo - 1] = f64::INFINITY;
+                (lo, f64::INFINITY)
+            };
+            for i in first..=hi {
+                let ai = a[i - 1];
+                let del = up + GLYPH[ai as usize];
+                let ins = prev[i] + glyph_bj;
+                let sub_cost = if ai == bj {
+                    0.0
+                } else {
+                    CONFUSABILITY[ai as usize][bj as usize]
+                };
+                let sub = prev[i - 1] + sub_cost;
+                let mut best = del.min(ins).min(sub);
+                if i > 1 && j > 1 && ai == b[j - 2] && a[i - 2] == bj && ai != a[i - 2] {
+                    best = best.min(done[(j - 2) * h + i - 2] + TRANSPOSITION);
+                }
+                cur[i] = best;
+                up = best;
+            }
+        }
+        if hi < n {
+            cur[hi + 1] = f64::INFINITY;
+        }
+    }
+    d[m * h + n]
 }
 
 fn glyph_prominence(c: char) -> f64 {
@@ -782,6 +887,51 @@ mod tests {
                 "{a} vs {b}"
             );
         }
+    }
+
+    #[test]
+    fn min_indel_is_the_thinnest_glyph() {
+        let min = GLYPH.iter().copied().fold(f64::INFINITY, f64::min);
+        assert_eq!(min.to_bits(), MIN_INDEL.to_bits());
+    }
+
+    /// The DL-1 scorer evaluates only the columns after each candidate's
+    /// edit and only the band its edit cost allows: at most
+    /// `(2k + 3)·(m − position + 1)` cells with `k = ⌊U/0.35⌋ + 1`, and
+    /// under half the `n·m` cells of the full matrix over the default
+    /// world's target list. Its scores are the table's, bit for bit,
+    /// whatever order the candidates come in.
+    #[test]
+    fn dl1_scoring_work_is_banded() {
+        use crate::typogen::{edit_cost, TypoTable};
+        let (mut cells, mut full) = (0usize, 0usize);
+        for entry in crate::alexa::synthetic_top(1000).iter() {
+            let table = TypoTable::generate(&entry.domain);
+            let s = entry.domain.sld().as_bytes();
+            let n = s.len();
+            let mut scorer = Dl1Visual::new(s);
+            take_visual_cells();
+            // In reverse: the scratch then holds the columns of other
+            // kinds' variants, which no candidate may depend on.
+            for c in (0..table.len()).rev() {
+                let t = table.sld(c).as_bytes();
+                let (m, position) = (t.len(), table.position(c));
+                let u = edit_cost(s, t, table.kind(c), position);
+                let v = scorer.score(t, position, u);
+                let evaluated = take_visual_cells();
+                assert_eq!(v.to_bits(), table.visual(c).to_bits());
+                let k = (u / 0.35).floor() as usize + 1;
+                assert!(
+                    evaluated <= (2 * k + 3) * (m - position + 1),
+                    "{} -> {}: {evaluated} cells, k = {k}",
+                    entry.domain,
+                    table.sld(c)
+                );
+                cells += evaluated;
+                full += n * m;
+            }
+        }
+        assert!(2 * cells <= full, "{cells} cells of {full}");
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //! `HashSet<String>` first-wins order), fat-finger membership is decided
 //! per operation from the `const` keyboard table instead of running a
 //! DP per candidate, and results land in a struct-of-arrays
-//! [`TypoTable`]. [`generate_dl1`] remains as a thin wrapper that
+//! [`TypoTable`]. The visual score still needs a DP (a variant can look
+//! closer to the target than its own edit suggests: `gmali` is 0.2 from
+//! `gmail`, its transposition 0.3), but each variant evaluates only the
+//! DP columns after its edit, reusing the target's own matrix for the
+//! ones before, and only the band of cells that can cost less than the
+//! edit itself. [`generate_dl1`] remains as a thin wrapper that
 //! materializes the table into the classic `Vec<TypoCandidate>`;
 //! [`generate_dl1_legacy`] keeps the original string-based generator for
 //! equivalence tests and benchmarks.
@@ -126,7 +131,7 @@ impl TypoTable {
             fat_finger: Vec::with_capacity(cap),
             visual: Vec::with_capacity(cap),
         };
-        let mut scratch = distance::VisualScratch::default();
+        let mut scorer = distance::Dl1Visual::new(s);
         let mut buf: Vec<u8> = Vec::with_capacity(n + 1);
 
         // Deletions. Deleting any character of a run yields the same
@@ -145,7 +150,7 @@ impl TypoTable {
                 buf.clear();
                 buf.extend_from_slice(&s[..i]);
                 buf.extend_from_slice(&s[i + 1..]);
-                table.push(s, &buf, MistakeKind::Deletion, i, true, &mut scratch);
+                table.push(s, &buf, MistakeKind::Deletion, i, true, &mut scorer);
             }
         }
         // Transpositions of distinct neighbors. Distinct transpositions
@@ -161,7 +166,7 @@ impl TypoTable {
             buf.clear();
             buf.extend_from_slice(s);
             buf.swap(i, i + 1);
-            table.push(s, &buf, MistakeKind::Transposition, i, true, &mut scratch);
+            table.push(s, &buf, MistakeKind::Transposition, i, true, &mut scorer);
         }
         // Substitutions: all (position, char ≠ current) pairs are
         // distinct strings; fat-finger iff the keys are adjacent.
@@ -177,7 +182,7 @@ impl TypoTable {
                 buf.extend_from_slice(s);
                 buf[i] = c;
                 let ff = keyboard::adjacent_bytes(s[i], c);
-                table.push(s, &buf, MistakeKind::Substitution, i, ff, &mut scratch);
+                table.push(s, &buf, MistakeKind::Substitution, i, ff, &mut scorer);
             }
         }
         // Additions (insert before position i, 0..=n). Inserting `c`
@@ -201,7 +206,7 @@ impl TypoTable {
                     buf.extend_from_slice(&s[..i]);
                     buf.push(c);
                     buf.extend_from_slice(&s[i..]);
-                    table.push(s, &buf, MistakeKind::Addition, i, ff, &mut scratch);
+                    table.push(s, &buf, MistakeKind::Addition, i, ff, &mut scorer);
                 }
             }
         }
@@ -215,9 +220,10 @@ impl TypoTable {
         kind: MistakeKind,
         position: usize,
         fat_finger: bool,
-        scratch: &mut distance::VisualScratch,
+        scorer: &mut distance::Dl1Visual<'_>,
     ) {
-        let visual = distance::visual_bytes(target_sld, variant, scratch);
+        let u = edit_cost(target_sld, variant, kind, position);
+        let visual = scorer.score(variant, position, u);
         self.slds
             .push_str(std::str::from_utf8(variant).expect("domain labels are ASCII"));
         self.ends.push(self.slds.len() as u32);
@@ -451,8 +457,7 @@ pub fn classify_dl1(target: &DomainName, typo: &DomainName) -> Option<TypoCandid
             (position > 0 && near(s[position - 1])) || (position < s.len() && near(s[position]))
         }
     };
-    let mut scratch = distance::VisualScratch::default();
-    let visual = distance::visual_bytes(s, t, &mut scratch);
+    let visual = distance::visual_within(s, t, edit_cost(s, t, kind, position));
     Some(TypoCandidate {
         domain: typo.clone(),
         target: target.clone(),
@@ -461,6 +466,21 @@ pub fn classify_dl1(target: &DomainName, typo: &DomainName) -> Option<TypoCandid
         fat_finger,
         visual,
     })
+}
+
+/// Visual cost of the single edit at `position` that turns `s` into
+/// `t`: the cost of that edit's own alignment in the visual DP, whose
+/// matches cost 0.0. It bounds `t`'s visual distance from above, which
+/// is what bands the DP.
+pub(crate) fn edit_cost(s: &[u8], t: &[u8], kind: MistakeKind, position: usize) -> f64 {
+    match kind {
+        MistakeKind::Deletion => distance::GLYPH[s[position] as usize],
+        MistakeKind::Transposition => distance::TRANSPOSITION,
+        MistakeKind::Substitution => {
+            distance::CONFUSABILITY[s[position] as usize][t[position] as usize]
+        }
+        MistakeKind::Addition => distance::GLYPH[t[position] as usize],
+    }
 }
 
 /// Byte-level DL-1 classification of `t` against `s`: the mistake kind

@@ -429,6 +429,7 @@ impl World {
                 band_bytes,
             );
             ets_obs::mem::add(band_bytes);
+            let band_commit_span = ets_obs::span!("world.band_commit", ets_obs::Level::Debug);
             for batch in pending {
                 pending_total += batch.len() as u64;
                 for p in batch {
@@ -437,6 +438,7 @@ impl World {
                     }
                 }
             }
+            drop(band_commit_span);
             ets_obs::mem::sub(band_bytes);
             ets_obs::metrics::counter_add("world.bands", 1);
             start = end;

@@ -15,6 +15,21 @@ fn sld() -> impl Strategy<Value = String> {
     })
 }
 
+/// Look-alike SLDs: thin glyphs, confusable letters, digits and hyphens,
+/// half of them periodic (`ililil`, `1-1-1`). Their DL-1 variants have
+/// the most alignments cheaper than the edit that made them, which is
+/// where a banded or prefix-reusing visual DP could go wrong.
+fn lookalike_sld(rng: &mut proptest::TestRng) -> String {
+    let s = if rng.below(2) == 0 {
+        "[il1j0o\\-mnuvw]{1,14}".sample(rng)
+    } else {
+        let unit = "[il1j0o\\-mnuvw]{1,3}".sample(rng);
+        let len = 2 + rng.below(13) as usize;
+        unit.chars().cycle().take(len.max(unit.len())).collect()
+    };
+    s.trim_matches('-').to_owned()
+}
+
 fn domain(sld: &str, tld: &str) -> DomainName {
     format!("{sld}.{tld}")
         .parse()
@@ -70,7 +85,9 @@ fn revindex_matches(
 }
 
 /// The table engine matches the legacy generator on every top-150
-/// target, then on random SLDs.
+/// target, then on random and look-alike SLDs. Fixed variants whose
+/// visual distance is below the cost of the edit that made them pin
+/// that the score is the DP's, not the edit's.
 #[test]
 fn table_engine_matches_legacy() {
     for target in top150() {
@@ -79,6 +96,32 @@ fn table_engine_matches_legacy() {
     proptest::run_cases("table_engine_matches_legacy", |rng| {
         engine_matches_legacy(&domain(&sld().sample(rng), "com"))
     });
+    proptest::run_cases("table_engine_matches_legacy_lookalikes", |rng| {
+        let s = lookalike_sld(rng);
+        if s.is_empty() {
+            return Ok(());
+        }
+        engine_matches_legacy(&domain(&s, "com"))
+    });
+    // (target, variant, visual distance, cost of the one edit)
+    for (target, variant, score, edit) in [
+        ("gmail", "gmali", 0.2, 0.3),
+        ("site1074", "site-074", 0.7, 0.9),
+        ("site5571", "site557j", 0.7, 0.9),
+    ] {
+        let table = TypoTable::generate(&domain(target, "com"));
+        let i = (0..table.len())
+            .find(|&i| table.sld(i) == variant)
+            .expect("variant is DL-1");
+        let legacy = distance::visual_legacy(target, variant);
+        assert_eq!(table.visual(i).to_bits(), legacy.to_bits(), "{variant}");
+        assert!(
+            (legacy - score).abs() < 1e-9 && legacy < edit,
+            "{variant}: {legacy}"
+        );
+        let cand = typogen::classify_dl1(&domain(target, "com"), &domain(variant, "com"));
+        assert_eq!(cand.map(|c| c.visual.to_bits()), Some(legacy.to_bits()));
+    }
 }
 
 /// The reverse index matches the brute-force scan over the top-150 list
