@@ -533,7 +533,8 @@ pub(crate) fn visual_within(target: &[u8], typo: &[u8], u: f64) -> f64 {
     visual_columns(target, typo, &mut d, 0, visual_band(u))
 }
 
-/// Visual scores of the DL-1 variants of one target.
+/// Visual scores of the DL-1 variants of one target (the kernel behind
+/// [`crate::typogen::TypoScorer`]).
 ///
 /// Column `j` of the visual DP depends only on the target and the
 /// variant's first `j` bytes, and every variant keeps the target's bytes
@@ -899,8 +900,8 @@ mod tests {
     /// edit and only the band its edit cost allows: at most
     /// `(2k + 3)·(m − position + 1)` cells with `k = ⌊U/0.35⌋ + 1`, and
     /// under half the `n·m` cells of the full matrix over the default
-    /// world's target list. Its scores are the table's, bit for bit,
-    /// whatever order the candidates come in.
+    /// world's target list. Its scores, taken in reverse, are those the
+    /// table's own scorer gives in order, bit for bit.
     #[test]
     fn dl1_scoring_work_is_banded() {
         use crate::typogen::{edit_cost, TypoTable};
@@ -910,6 +911,7 @@ mod tests {
             let s = entry.domain.sld().as_bytes();
             let n = s.len();
             let mut scorer = Dl1Visual::new(s);
+            let expect: Vec<f64> = table.iter().map(|c| c.visual).collect();
             take_visual_cells();
             // In reverse: the scratch then holds the columns of other
             // kinds' variants, which no candidate may depend on.
@@ -919,7 +921,7 @@ mod tests {
                 let u = edit_cost(s, t, table.kind(c), position);
                 let v = scorer.score(t, position, u);
                 let evaluated = take_visual_cells();
-                assert_eq!(v.to_bits(), table.visual(c).to_bits());
+                assert_eq!(v.to_bits(), expect[c].to_bits());
                 let k = (u / 0.35).floor() as usize + 1;
                 assert!(
                     evaluated <= (2 * k + 3) * (m - position + 1),

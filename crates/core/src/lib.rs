@@ -53,4 +53,4 @@ pub mod typogen;
 pub use domain::DomainName;
 pub use intern::{DomainId, DomainInterner};
 pub use revindex::ReverseDl1Index;
-pub use typogen::{MistakeKind, TypoCandidate, TypoTable};
+pub use typogen::{MistakeKind, TypoCandidate, TypoScorer, TypoTable};

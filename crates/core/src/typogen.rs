@@ -14,15 +14,21 @@
 //! `HashSet<String>` first-wins order), fat-finger membership is decided
 //! per operation from the `const` keyboard table instead of running a
 //! DP per candidate, and results land in a struct-of-arrays
-//! [`TypoTable`]. The visual score still needs a DP (a variant can look
-//! closer to the target than its own edit suggests: `gmali` is 0.2 from
-//! `gmail`, its transposition 0.3), but each variant evaluates only the
-//! DP columns after its edit, reusing the target's own matrix for the
-//! ones before, and only the band of cells that can cost less than the
-//! edit itself. [`generate_dl1`] remains as a thin wrapper that
-//! materializes the table into the classic `Vec<TypoCandidate>`;
-//! [`generate_dl1_legacy`] keeps the original string-based generator for
-//! equivalence tests and benchmarks.
+//! [`TypoTable`].
+//!
+//! The table enumerates; it does not score. Each candidate carries the
+//! exact visual cost of its own edit, and a [`TypoScorer`] computes a
+//! candidate's visual distance on demand. Scoring still needs a DP (a
+//! variant can look closer to the target than its own edit suggests:
+//! `gmali` is 0.2 from `gmail`, its transposition 0.3), but each variant
+//! evaluates only the DP columns after its edit, reusing the target's
+//! own matrix for the ones before, and only the band of cells that can
+//! cost less than the edit itself. A caller that needs only some scores
+//! (the world build scores the few candidates whose registration roll
+//! can depend on it) pays only for those. [`generate_dl1`] remains as a
+//! thin wrapper that scores every candidate into the classic
+//! `Vec<TypoCandidate>`; [`generate_dl1_legacy`] keeps the original
+//! string-based generator for equivalence tests and benchmarks.
 
 use crate::distance;
 use crate::domain::{DomainName, MAX_LABEL_LEN, MAX_NAME_LEN};
@@ -94,9 +100,9 @@ impl TypoCandidate {
 
 /// Struct-of-arrays result of the byte-level DL-1 engine: one target, all
 /// its typo variants' labels in a single string arena plus parallel
-/// per-candidate columns. Iterating the columns costs no allocation;
-/// [`TypoTable::candidate`] materializes a classic [`TypoCandidate`] on
-/// demand.
+/// per-candidate columns. Iterating the columns costs no allocation.
+/// Visual scores are not stored: [`TypoTable::scorer`] computes them on
+/// demand, and [`TypoTable::iter`] materializes scored [`TypoCandidate`]s.
 #[derive(Debug, Clone)]
 pub struct TypoTable {
     target: DomainName,
@@ -106,12 +112,15 @@ pub struct TypoTable {
     kinds: Vec<MistakeKind>,
     positions: Vec<u32>,
     fat_finger: Vec<bool>,
-    visual: Vec<f64>,
+    /// Visual cost of each variant's own edit ([`edit_cost`]), the bound
+    /// that bands its visual DP.
+    edit_costs: Vec<f64>,
 }
 
 impl TypoTable {
     /// Generates all distinct DL-1 variants of `target`'s second-level
-    /// label. Candidate order, attribution, and scores are identical to
+    /// label, without scoring them. Candidate order and attribution, and
+    /// the scores [`TypoTable::scorer`] computes, are identical to
     /// [`generate_dl1_legacy`]: deletions, then transpositions, then
     /// substitutions, then additions, each position-ascending with the
     /// alphabet in `a..z 0..9 -` order, keeping only the canonical
@@ -129,9 +138,8 @@ impl TypoTable {
             kinds: Vec::with_capacity(cap),
             positions: Vec::with_capacity(cap),
             fat_finger: Vec::with_capacity(cap),
-            visual: Vec::with_capacity(cap),
+            edit_costs: Vec::with_capacity(cap),
         };
-        let mut scorer = distance::Dl1Visual::new(s);
         let mut buf: Vec<u8> = Vec::with_capacity(n + 1);
 
         // Deletions. Deleting any character of a run yields the same
@@ -150,7 +158,7 @@ impl TypoTable {
                 buf.clear();
                 buf.extend_from_slice(&s[..i]);
                 buf.extend_from_slice(&s[i + 1..]);
-                table.push(s, &buf, MistakeKind::Deletion, i, true, &mut scorer);
+                table.push(s, &buf, MistakeKind::Deletion, i, true);
             }
         }
         // Transpositions of distinct neighbors. Distinct transpositions
@@ -166,7 +174,7 @@ impl TypoTable {
             buf.clear();
             buf.extend_from_slice(s);
             buf.swap(i, i + 1);
-            table.push(s, &buf, MistakeKind::Transposition, i, true, &mut scorer);
+            table.push(s, &buf, MistakeKind::Transposition, i, true);
         }
         // Substitutions: all (position, char ≠ current) pairs are
         // distinct strings; fat-finger iff the keys are adjacent.
@@ -182,7 +190,7 @@ impl TypoTable {
                 buf.extend_from_slice(s);
                 buf[i] = c;
                 let ff = keyboard::adjacent_bytes(s[i], c);
-                table.push(s, &buf, MistakeKind::Substitution, i, ff, &mut scorer);
+                table.push(s, &buf, MistakeKind::Substitution, i, ff);
             }
         }
         // Additions (insert before position i, 0..=n). Inserting `c`
@@ -206,7 +214,7 @@ impl TypoTable {
                     buf.extend_from_slice(&s[..i]);
                     buf.push(c);
                     buf.extend_from_slice(&s[i..]);
-                    table.push(s, &buf, MistakeKind::Addition, i, ff, &mut scorer);
+                    table.push(s, &buf, MistakeKind::Addition, i, ff);
                 }
             }
         }
@@ -220,17 +228,15 @@ impl TypoTable {
         kind: MistakeKind,
         position: usize,
         fat_finger: bool,
-        scorer: &mut distance::Dl1Visual<'_>,
     ) {
-        let u = edit_cost(target_sld, variant, kind, position);
-        let visual = scorer.score(variant, position, u);
         self.slds
             .push_str(std::str::from_utf8(variant).expect("domain labels are ASCII"));
         self.ends.push(self.slds.len() as u32);
         self.kinds.push(kind);
         self.positions.push(position as u32);
         self.fat_finger.push(fat_finger);
-        self.visual.push(visual);
+        self.edit_costs
+            .push(edit_cost(target_sld, variant, kind, position));
     }
 
     /// Number of candidates.
@@ -270,20 +276,19 @@ impl TypoTable {
         self.fat_finger[i]
     }
 
-    /// Unnormalized visual distance of candidate `i` from the target.
-    pub fn visual(&self, i: usize) -> f64 {
-        self.visual[i]
+    /// A scorer for this table's candidates: it computes the target's
+    /// own visual DP once, then each candidate's score on demand.
+    pub fn scorer(&self) -> TypoScorer<'_> {
+        TypoScorer {
+            table: self,
+            dl1: distance::Dl1Visual::new(self.target.sld().as_bytes()),
+        }
     }
 
-    /// Visual distance of candidate `i` normalized by target SLD length
-    /// (the Section-6 regression feature).
-    pub fn visual_normalized(&self, i: usize) -> f64 {
-        self.visual[i] / self.target.sld().len() as f64
-    }
-
-    /// Materializes candidate `i` as an owned [`TypoCandidate`]
-    /// (one name allocation, no re-parse).
-    pub fn candidate(&self, i: usize) -> TypoCandidate {
+    /// Materializes candidate `i` as an owned [`TypoCandidate`] (one name
+    /// allocation, no re-parse) with the visual score `visual`, which
+    /// must be the one [`TypoScorer::visual`] returns for it.
+    pub fn candidate(&self, i: usize, visual: f64) -> TypoCandidate {
         let sld = self.sld(i);
         let tld = self.target.tld();
         let mut name = String::with_capacity(sld.len() + 1 + tld.len());
@@ -297,18 +302,47 @@ impl TypoTable {
             kind: self.kinds[i],
             position: self.positions[i] as usize,
             fat_finger: self.fat_finger[i],
-            visual: self.visual[i],
+            visual,
         }
     }
 
-    /// Materializes every candidate in order.
+    /// Scores and materializes every candidate in order.
     pub fn into_candidates(self) -> Vec<TypoCandidate> {
-        (0..self.len()).map(|i| self.candidate(i)).collect()
+        self.iter().collect()
     }
 
-    /// Iterates materialized candidates in order.
+    /// Iterates scored, materialized candidates in order.
     pub fn iter(&self) -> impl Iterator<Item = TypoCandidate> + '_ {
-        (0..self.len()).map(|i| self.candidate(i))
+        let mut scorer = self.scorer();
+        (0..self.len()).map(move |i| scorer.candidate(i))
+    }
+}
+
+/// On-demand visual scores of one [`TypoTable`]'s candidates.
+///
+/// Holds the target's visual DP against itself, computed once, and one
+/// scratch matrix; each [`TypoScorer::visual`] call evaluates only the
+/// columns after that candidate's edit, inside the band its edit's cost
+/// allows. Candidates may be scored in any order and any subset, and
+/// every score is bit-identical to [`distance::visual`] of the two
+/// labels.
+pub struct TypoScorer<'a> {
+    table: &'a TypoTable,
+    dl1: distance::Dl1Visual<'a>,
+}
+
+impl TypoScorer<'_> {
+    /// Unnormalized visual distance of candidate `i` from the target.
+    pub fn visual(&mut self, i: usize) -> f64 {
+        let t = self.table;
+        self.dl1
+            .score(t.sld(i).as_bytes(), t.position(i), t.edit_costs[i])
+    }
+
+    /// Candidate `i`, scored and materialized.
+    pub fn candidate(&mut self, i: usize) -> TypoCandidate {
+        let visual = self.visual(i);
+        self.table.candidate(i, visual)
     }
 }
 
@@ -534,9 +568,10 @@ fn classify_slds(s: &[u8], t: &[u8]) -> Option<(MistakeKind, usize)> {
 /// fat-finger distance of one").
 pub fn generate_ff1(target: &DomainName) -> Vec<TypoCandidate> {
     let table = TypoTable::generate(target);
+    let mut scorer = table.scorer();
     (0..table.len())
         .filter(|&i| table.fat_finger(i))
-        .map(|i| table.candidate(i))
+        .map(|i| scorer.candidate(i))
         .collect()
 }
 
@@ -760,17 +795,15 @@ mod tests {
         let table = TypoTable::generate(&t);
         let cands = generate_dl1(&t);
         assert_eq!(table.len(), cands.len());
+        let mut scorer = table.scorer();
         for (i, c) in cands.iter().enumerate() {
             assert_eq!(table.sld(i), c.domain.sld());
             assert_eq!(table.kind(i), c.kind);
             assert_eq!(table.position(i), c.position);
             assert_eq!(table.fat_finger(i), c.fat_finger);
-            assert_eq!(table.visual(i).to_bits(), c.visual.to_bits());
-            assert_eq!(
-                table.visual_normalized(i).to_bits(),
-                c.visual_normalized().to_bits()
-            );
-            assert_eq!(table.candidate(i), *c);
+            assert_eq!(scorer.visual(i).to_bits(), c.visual.to_bits());
+            assert_eq!(table.candidate(i, c.visual), *c);
+            assert_eq!(scorer.candidate(i), *c);
         }
         assert_eq!(table.iter().collect::<Vec<_>>(), cands);
     }

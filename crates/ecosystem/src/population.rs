@@ -327,13 +327,7 @@ impl World {
             .collect();
         let appetite_total: f64 = appetite.iter().sum();
 
-        // The registration probability decays monotonically with rank, so
-        // every target past the cutoff would return an empty band without
-        // consuming a single draw — skip them without even deriving their
-        // streams.
-        let active_targets = (0..targets.len())
-            .find(|&rank0| target_registration_p(&config, rank0) < 0.01)
-            .unwrap_or(targets.len());
+        let active_targets = active_targets(&config, targets.len());
 
         // Parallel compute per band: each target draws its gtypo band
         // from its own stream and prepares registrations without touching
@@ -343,37 +337,39 @@ impl World {
         let pending_span = ets_obs::span!("world.ctypo_pending", ets_obs::Level::Debug);
         let mut pairs: Vec<(CtypoInfo, CtypoMeta)> = Vec::new();
         let mut pending_total: u64 = 0;
+        let (mut candidates_total, mut scored_total) = (0u64, 0u64);
         let mut band = initial_band.clamp(MIN_BAND_TARGETS, MAX_BAND_TARGETS);
         let mut start = 0;
         while start < active_targets {
             let end = (start + band).min(active_targets);
-            let pending: Vec<Vec<PendingCtypo>> = par_map(&targets[start..end], |i, target| {
+            let pending: Vec<TargetDraws> = par_map(&targets[start..end], |i, target| {
                 let rank0 = start + i;
                 let mut rng = derive_rng(config.seed, stream::POPULATION_TARGET, rank0 as u64);
                 let p_target = target_registration_p(&config, rank0);
                 let mut out = Vec::new();
-                // Column access into the typo table; candidate domain
-                // names are only materialized for the few variants that
-                // pass the registration roll.
+                let mut scored = 0u64;
+                // Column access into the typo table. The registration
+                // roll draws its unit before the visual score exists and
+                // rejects every candidate the roll would reject at any
+                // visual distance; only the rest are scored, and
+                // candidate domain names are only materialized for the
+                // few variants that pass.
                 let table = typogen::TypoTable::generate(target);
+                let mut scorer = table.scorer();
+                let sld_len = target.sld().len() as f64;
                 for ci in 0..table.len() {
-                    // Low visual distance and fat-finger adjacency make a
-                    // typo attractive; deletions/transpositions too
-                    // (Figure 9).
-                    let attractiveness = {
-                        let v = table.visual_normalized(ci);
-                        let base = (1.0 - v).clamp(0.05, 1.0);
-                        let ff = if table.fat_finger(ci) { 1.5 } else { 1.0 };
-                        let kind = match table.kind(ci) {
-                            ets_core::MistakeKind::Deletion => 1.4,
-                            ets_core::MistakeKind::Transposition => 1.3,
-                            ets_core::MistakeKind::Substitution => 1.0,
-                            ets_core::MistakeKind::Addition => 0.8,
-                        };
-                        (base * ff * kind).min(2.0)
-                    };
-                    let p = (p_target * attractiveness * 0.35).min(0.95);
-                    if !rng.gen_bool(p) {
+                    let (fat_finger, kind) = (table.fat_finger(ci), table.kind(ci));
+                    let unit = rng.gen_unit();
+                    let p_max = registration_p(p_target, 1.0, fat_finger, kind);
+                    if !rand::unit_below(unit, p_max) {
+                        continue;
+                    }
+                    scored += 1;
+                    let visual = scorer.visual(ci);
+                    assert!(visual.is_finite(), "{target}: visual score {visual}");
+                    // Normalized as `TypoCandidate::visual_normalized`.
+                    let base = visual_base(visual / sld_len);
+                    if !rand::unit_below(unit, registration_p(p_target, base, fat_finger, kind)) {
                         continue;
                     }
                     // Who takes it?
@@ -398,7 +394,7 @@ impl World {
                         draw_ctypo(&registrants, config.n_ns_providers, class, owner, &mut rng)
                             .and_then(|draw| {
                                 materialize_ctypo(
-                                    table.candidate(ci),
+                                    table.candidate(ci, visual),
                                     class,
                                     owner,
                                     &draw,
@@ -412,7 +408,11 @@ impl World {
                         out.push(p);
                     }
                 }
-                out
+                TargetDraws {
+                    pending: out,
+                    candidates: table.len() as u64,
+                    scored,
+                }
             });
             // Account the band's transient payload before committing it:
             // the budget histogram is a pure function of (seed, scale,
@@ -420,7 +420,7 @@ impl World {
             // reports.
             let band_bytes: u64 = pending
                 .iter()
-                .flat_map(|b| b.iter())
+                .flat_map(|d| d.pending.iter())
                 .map(PendingCtypo::approx_bytes)
                 .sum();
             ets_obs::metrics::histogram_record(
@@ -430,9 +430,11 @@ impl World {
             );
             ets_obs::mem::add(band_bytes);
             let band_commit_span = ets_obs::span!("world.band_commit", ets_obs::Level::Debug);
-            for batch in pending {
-                pending_total += batch.len() as u64;
-                for p in batch {
+            for draws in pending {
+                pending_total += draws.pending.len() as u64;
+                candidates_total += draws.candidates;
+                scored_total += draws.scored;
+                for p in draws.pending {
                     if registry.register(p.registration, p.zone) {
                         pairs.push((p.info, p.meta));
                     }
@@ -453,6 +455,8 @@ impl World {
             }
         }
         ets_obs::metrics::counter_add("world.ctypo_pending", pending_total);
+        ets_obs::metrics::counter_add("world.dl1_candidates", candidates_total);
+        ets_obs::metrics::counter_add("world.dl1_scored", scored_total);
         drop(pending_span);
         let commit_span = ets_obs::span!("world.commit", ets_obs::Level::Debug);
         pairs.sort_by(|a, b| a.0.candidate.domain.cmp(&b.0.candidate.domain));
@@ -774,11 +778,61 @@ impl PendingCtypo {
     }
 }
 
+/// One target's share of a band: its prepared registrations, plus how
+/// many DL-1 candidates it rolled for and how many of those needed a
+/// visual score.
+struct TargetDraws {
+    pending: Vec<PendingCtypo>,
+    candidates: u64,
+    scored: u64,
+}
+
 /// Registration probability for the target at zero-based `rank0` —
 /// monotonically decreasing in rank, so the first rank below the 0.01
 /// cutoff bounds the active target set.
 fn target_registration_p(config: &PopulationConfig, rank0: usize) -> f64 {
     config.base_registration_rate / ((rank0 + 1) as f64).powf(config.rank_decay)
+}
+
+/// Number of leading targets whose gtypos can be registered at all.
+/// The registration probability decays monotonically with rank, so every
+/// target past the cutoff would return an empty band without consuming a
+/// single draw; the build skips them without even deriving their
+/// streams.
+fn active_targets(config: &PopulationConfig, n_targets: usize) -> usize {
+    (0..n_targets)
+        .find(|&rank0| target_registration_p(config, rank0) < 0.01)
+        .unwrap_or(n_targets)
+}
+
+/// The visual factor of a gtypo's attractiveness, from its visual
+/// distance normalized by target length: `1` for an invisible typo,
+/// never below `0.05` however glaring.
+fn visual_base(v: f64) -> f64 {
+    (1.0 - v).clamp(0.05, 1.0)
+}
+
+/// Probability that a gtypo of a target with registration probability
+/// `p_target` is registered. Low visual distance (a high `base`, see
+/// [`visual_base`]) and fat-finger adjacency make a typo attractive;
+/// deletions and transpositions too (Figure 9).
+///
+/// Every operation is a float `*` or `min` of non-negative operands, so
+/// the result never decreases as `base` grows: since `base ≤ 1`, the
+/// probability at `base = 1` bounds it bit for bit. That is what lets the
+/// build reject a candidate before scoring it.
+fn registration_p(p_target: f64, base: f64, fat_finger: bool, kind: ets_core::MistakeKind) -> f64 {
+    let attractiveness = {
+        let ff = if fat_finger { 1.5 } else { 1.0 };
+        let kind = match kind {
+            ets_core::MistakeKind::Deletion => 1.4,
+            ets_core::MistakeKind::Transposition => 1.3,
+            ets_core::MistakeKind::Substitution => 1.0,
+            ets_core::MistakeKind::Addition => 0.8,
+        };
+        (base * ff * kind).min(2.0)
+    };
+    (p_target * attractiveness * 0.35).min(0.95)
 }
 
 /// Name-server provider host names (first `n_cesspool_ns` are dirty).
@@ -1475,6 +1529,64 @@ mod tests {
         let world = World::build(PopulationConfig::tiny(11));
         let reloaded = crate::snapshot::roundtrip_in_memory(&world).expect("roundtrip");
         assert_eq!(world_fingerprint(&reloaded), world_fingerprint(&world));
+    }
+
+    /// The roll may reject before scoring only because the probability
+    /// at `base = 1` bounds every probability a score can give, bit for
+    /// bit: pinned over every kind, both fat-finger factors, visual
+    /// distances at and past the clamp's edges, and the target
+    /// probabilities at rank 0, deep in the list and at the active-target
+    /// cutoff. At rank 0 (1.3) the attractiveness cap binds; the 0.95
+    /// cap needs a larger target probability, so one is added.
+    #[test]
+    fn registration_p_is_bounded_by_its_unscored_max() {
+        let config = PopulationConfig::default();
+        let cutoff = active_targets(&config, usize::MAX) - 1;
+        assert!(target_registration_p(&config, cutoff) >= 0.01);
+        assert!(target_registration_p(&config, cutoff + 1) < 0.01);
+        let top = target_registration_p(&config, 0);
+        assert_eq!(top, 1.3);
+        let p_targets = [0, 9_999, cutoff]
+            .map(|rank0| target_registration_p(&config, rank0))
+            .into_iter()
+            .chain([3.0]);
+        let (mut attractiveness_capped, mut p_capped) = (false, false);
+        for p_target in p_targets {
+            for kind in ets_core::MistakeKind::ALL {
+                for fat_finger in [false, true] {
+                    let p_max = registration_p(p_target, 1.0, fat_finger, kind);
+                    assert!((0.0..=1.0).contains(&p_max));
+                    for v in [0.0, 0.05, 0.95, 1.0, 1.7] {
+                        let p = registration_p(p_target, visual_base(v), fat_finger, kind);
+                        assert!(
+                            p.to_bits() <= p_max.to_bits() && p >= 0.0,
+                            "p_target {p_target} {kind} ff {fat_finger} v {v}: {p} > {p_max}"
+                        );
+                        if v == 0.0 {
+                            assert_eq!(p.to_bits(), p_max.to_bits());
+                        }
+                    }
+                    attractiveness_capped |= p_max == (p_target * 2.0 * 0.35).min(0.95);
+                    p_capped |= p_max == 0.95;
+                }
+            }
+        }
+        assert!(attractiveness_capped && p_capped);
+    }
+
+    /// A NaN score would slip past the bound: `f64::min` drops NaN, so
+    /// the attractiveness would jump to its 2.0 cap. Every candidate of
+    /// the default world's target list scores finite.
+    #[test]
+    fn every_visual_score_is_finite() {
+        for entry in alexa::synthetic_top(1000).iter() {
+            let table = typogen::TypoTable::generate(&entry.domain);
+            let mut scorer = table.scorer();
+            for ci in 0..table.len() {
+                let v = scorer.visual(ci);
+                assert!(v.is_finite(), "{} -> {}: {v}", entry.domain, table.sld(ci));
+            }
+        }
     }
 
     #[test]

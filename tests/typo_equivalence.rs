@@ -6,7 +6,7 @@
 use ets_core::typogen::{self, TypoTable};
 use ets_core::{alexa, distance, DomainName, ReverseDl1Index};
 use proptest::prelude::*;
-use proptest::TestCaseError;
+use proptest::{TestCaseError, TestRng};
 
 /// Arbitrary valid SLDs: no hyphen at either edge, length 1–14.
 fn sld() -> impl Strategy<Value = String> {
@@ -114,7 +114,11 @@ fn table_engine_matches_legacy() {
             .find(|&i| table.sld(i) == variant)
             .expect("variant is DL-1");
         let legacy = distance::visual_legacy(target, variant);
-        assert_eq!(table.visual(i).to_bits(), legacy.to_bits(), "{variant}");
+        assert_eq!(
+            table.scorer().visual(i).to_bits(),
+            legacy.to_bits(),
+            "{variant}"
+        );
         assert!(
             (legacy - score).abs() < 1e-9 && legacy < edit,
             "{variant}: {legacy}"
@@ -122,6 +126,57 @@ fn table_engine_matches_legacy() {
         let cand = typogen::classify_dl1(&domain(target, "com"), &domain(variant, "com"));
         assert_eq!(cand.map(|c| c.visual.to_bits()), Some(legacy.to_bits()));
     }
+}
+
+/// `target`'s table scorer gives each candidate its `visual_legacy`
+/// score, bit for bit, when the candidates are scored in reverse and in
+/// a shuffled order (in order is `engine_matches_legacy`): the scratch
+/// matrix reused from one candidate to the next carries nothing between
+/// them.
+fn scorer_matches_legacy(target: &DomainName, rng: &mut TestRng) -> Result<(), TestCaseError> {
+    let table = TypoTable::generate(target);
+    let legacy: Vec<u64> = (0..table.len())
+        .map(|i| distance::visual_legacy(target.sld(), table.sld(i)).to_bits())
+        .collect();
+    let reverse: Vec<usize> = (0..table.len()).rev().collect();
+    let mut shuffled = reverse.clone();
+    for k in (1..shuffled.len()).rev() {
+        shuffled.swap(k, rng.below(k as u64 + 1) as usize);
+    }
+    for order in [reverse, shuffled] {
+        let mut scorer = table.scorer();
+        for i in order {
+            let v = scorer.visual(i);
+            prop_assert!(
+                v.to_bits() == legacy[i],
+                "{target} -> {}: {v} vs {}",
+                table.sld(i),
+                f64::from_bits(legacy[i])
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The on-demand scorer matches the legacy visual DP on every candidate
+/// of the default world's top-1000 targets, then on random and
+/// look-alike SLDs, in orders other than the table's.
+#[test]
+fn table_scorer_matches_legacy_in_any_order() {
+    let mut rng = TestRng::from_name("table_scorer_matches_legacy_in_any_order");
+    for entry in alexa::synthetic_top(1000).iter() {
+        scorer_matches_legacy(&entry.domain, &mut rng).unwrap();
+    }
+    proptest::run_cases("table_scorer_matches_legacy", |rng| {
+        scorer_matches_legacy(&domain(&sld().sample(rng), "com"), rng)
+    });
+    proptest::run_cases("table_scorer_matches_legacy_lookalikes", |rng| {
+        let s = lookalike_sld(rng);
+        if s.is_empty() {
+            return Ok(());
+        }
+        scorer_matches_legacy(&domain(&s, "com"), rng)
+    });
 }
 
 /// The reverse index matches the brute-force scan over the top-150 list
@@ -276,19 +331,21 @@ fn explain_equals_generator_search() {
     }
 }
 
-/// The table's column accessors agree with the records it materializes.
+/// The table's column accessors and its scorer agree with the records
+/// it materializes.
 #[test]
 fn table_columns_agree_with_candidates() {
     let target: DomainName = "hotmail.com".parse().unwrap();
     let table = TypoTable::generate(&target);
     let cands = typogen::generate_dl1(&target);
     assert_eq!(table.len(), cands.len());
+    let mut scorer = table.scorer();
     for (i, c) in cands.iter().enumerate() {
         assert_eq!(table.sld(i), c.domain.sld());
         assert_eq!(table.kind(i), c.kind);
         assert_eq!(table.position(i), c.position);
         assert_eq!(table.fat_finger(i), c.fat_finger);
-        assert_eq!(table.visual(i).to_bits(), c.visual.to_bits());
-        assert_eq!(table.candidate(i), *c);
+        assert_eq!(scorer.visual(i).to_bits(), c.visual.to_bits());
+        assert_eq!(scorer.candidate(i), *c);
     }
 }
